@@ -50,15 +50,16 @@ namespace lumos::bench {
 namespace {
 
 struct RunnerOptions {
-  bool smoke = false;    ///< capped jobs, 2-day traces
+  /// The harness flags (bench/common.hpp); --smoke without --days also
+  /// shortens every window to 2 days.
+  Args args;
+  /// The harness flags as typed, forwarded verbatim to every --child.
+  std::vector<std::string> harness_flags;
   bool verify = false;   ///< run twice, require identical domain metrics
   bool list = false;     ///< print harness names and exit
   bool echo = false;     ///< forward harness table output to stdout
   std::string out = "BENCH_results.json";
   std::vector<std::string> only;  ///< empty = all harnesses
-  std::optional<double> days;
-  std::string days_text;  ///< --days as typed, forwarded verbatim to --child
-  std::uint64_t seed = 42;
 
   // Supervision (--supervised).
   bool supervised = false;
@@ -79,6 +80,7 @@ struct RunnerOptions {
 std::string runner_usage() {
   return "usage: bench_runner [--smoke] [--verify] [--echo] [--list]\n"
          "                    [--only name,name,...] [--days D] [--seed S]\n"
+         "                    [--systems a,b,c] [--ablation]\n"
          "                    [--out FILE]   (FILE '-' writes to stdout)\n"
          "                    [--supervised] [--fresh] [--journal FILE]\n"
          "                    [--timeout S] [--grace S] [--attempts N]\n"
@@ -93,10 +95,14 @@ RunnerOptions parse_runner_args(int argc, char** argv) {
     return argv[++i];
   };
   for (int i = 1; i < argc; ++i) {
+    const int first = i;
+    if (parse_harness_flag(opt.args, i, argc, argv)) {
+      opt.harness_flags.insert(opt.harness_flags.end(), argv + first,
+                               argv + i + 1);
+      continue;
+    }
     const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      opt.smoke = true;
-    } else if (arg == "--verify") {
+    if (arg == "--verify") {
       opt.verify = true;
     } else if (arg == "--list") {
       opt.list = true;
@@ -109,11 +115,6 @@ RunnerOptions parse_runner_args(int argc, char** argv) {
       for (auto name : util::split(list, ',')) {
         opt.only.emplace_back(name);
       }
-    } else if (arg == "--days") {
-      opt.days_text = value_of(i, arg);
-      opt.days = parse_positive_double(opt.days_text, "--days");
-    } else if (arg == "--seed") {
-      opt.seed = parse_u64(value_of(i, arg), "--seed");
     } else if (arg == "--supervised") {
       opt.supervised = true;
     } else if (arg == "--fresh") {
@@ -141,6 +142,10 @@ RunnerOptions parse_runner_args(int argc, char** argv) {
       throw InvalidArgument("unknown flag: " + arg);
     }
   }
+  if (opt.args.smoke && !opt.args.study.duration_days) {
+    // Override the per-harness defaults (up to 120 days) in smoke mode.
+    opt.args.study.duration_days = 2.0;
+  }
   return opt;
 }
 
@@ -159,20 +164,8 @@ const HarnessInfo& find_harness(std::string_view name) {
   throw InvalidArgument("unknown harness: " + std::string(name));
 }
 
-Args harness_args(const RunnerOptions& opt) {
-  Args args;
-  args.study.seed = opt.seed;
-  args.study.duration_days = opt.days;
-  args.smoke = opt.smoke;
-  if (opt.smoke && !args.study.duration_days) {
-    // Override the per-harness defaults (up to 120 days) in smoke mode.
-    args.study.duration_days = 2.0;
-  }
-  return args;
-}
-
 /// Runs one harness with a fresh global registry; fills wall time and the
-/// observability snapshot exactly like the standalone harness_main does.
+/// observability snapshot.
 obs::Report run_one(const HarnessInfo& info, const Args& args,
                     std::ostream& sink) {
   auto& registry = obs::Registry::global();
@@ -182,10 +175,11 @@ obs::Report run_one(const HarnessInfo& info, const Args& args,
   // (the ext_fault_aware "sim.events: 0" bug). No harness holds handles
   // across runs, so dropping the instruments outright is safe here.
   registry.clear();
-  obs::ScopedTimer timer(registry.histogram("bench.harness_seconds"));
+  const auto start = std::chrono::steady_clock::now();
   obs::Report report = info.run(args, sink);
-  report.wall_seconds = timer.elapsed_seconds();
-  timer.cancel();
+  report.wall_seconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
   report.observability = registry.snapshot();
   return report;
 }
@@ -208,16 +202,24 @@ std::vector<std::string> missing_metrics(const HarnessInfo& info,
   return missing;
 }
 
-obs::Json results_skeleton(const RunnerOptions& opt, const Args& args) {
-  obs::Json results = obs::Json::object();
-  results["schema_version"] = 1;
-  results["git_rev"] = LUMOS_GIT_REV;
-  results["seed"] = opt.seed;
-  results["smoke"] = opt.smoke;
+/// The run's provenance: the head of BENCH_results.json and of the
+/// supervised journal, which resumes only under an equal fingerprint.
+obs::Json run_fingerprint(const Args& args) {
+  obs::Json doc = obs::Json::object();
+  doc["schema_version"] = 1;
+  doc["git_rev"] = LUMOS_GIT_REV;
+  doc["seed"] = args.study.seed;
+  doc["smoke"] = args.smoke;
   if (args.study.duration_days) {
-    results["days"] = *args.study.duration_days;
+    doc["days"] = *args.study.duration_days;
   }
-  return results;
+  if (!args.study.systems.empty()) {
+    obs::Json systems = obs::Json::array();
+    for (const auto& name : args.study.systems) systems.push_back(name);
+    doc["systems"] = std::move(systems);
+  }
+  if (args.ablation) doc["ablation"] = true;
+  return doc;
 }
 
 int finish_run(const RunnerOptions& opt, obs::Json& results,
@@ -274,7 +276,7 @@ int run_child_mode(const RunnerOptions& opt) {
   }
   const HarnessInfo& info = find_harness(opt.child);
   maybe_inject_fault(opt);
-  const Args args = harness_args(opt);
+  const Args& args = opt.args;
   std::ostringstream sink;
   obs::Report report = run_one(info, args, sink);
   if (opt.verify) {
@@ -291,18 +293,6 @@ int run_child_mode(const RunnerOptions& opt) {
 }
 
 // ------------------------------------------------------- supervised mode --
-
-obs::Json journal_header(const RunnerOptions& opt, const Args& args) {
-  obs::Json header = obs::Json::object();
-  header["schema_version"] = 1;
-  header["git_rev"] = LUMOS_GIT_REV;
-  header["seed"] = opt.seed;
-  header["smoke"] = opt.smoke;
-  if (args.study.duration_days) {
-    header["days"] = *args.study.duration_days;
-  }
-  return header;
-}
 
 std::string journal_path(const RunnerOptions& opt) {
   if (!opt.journal.empty()) return opt.journal;
@@ -324,13 +314,8 @@ std::string self_path(const RunnerOptions& opt) {
 std::vector<std::string> child_argv(const RunnerOptions& opt,
                                     std::string_view harness) {
   std::vector<std::string> argv = {self_path(opt), "--child",
-                                   std::string(harness), "--seed",
-                                   std::to_string(opt.seed)};
-  if (opt.days) {
-    argv.push_back("--days");
-    argv.push_back(opt.days_text);
-  }
-  if (opt.smoke) argv.push_back("--smoke");
+                                   std::string(harness)};
+  argv.insert(argv.end(), opt.harness_flags.begin(), opt.harness_flags.end());
   if (opt.verify) argv.push_back("--verify");
   if (!opt.inject_fault.empty()) {
     argv.push_back("--inject-fault");
@@ -362,8 +347,7 @@ supervise::JournalRecord record_of(std::string_view harness,
 }
 
 int run_supervised_fleet(const RunnerOptions& opt) {
-  const Args args = harness_args(opt);
-  const obs::Json header = journal_header(opt, args);
+  const obs::Json header = run_fingerprint(opt.args);
   const std::string journal_file = journal_path(opt);
 
   // Resume only a journal whose fingerprint matches this run exactly;
@@ -382,7 +366,7 @@ int run_supervised_fleet(const RunnerOptions& opt) {
               << completed.size() << " harness(es) already complete\n";
   }
 
-  obs::Json results = results_skeleton(opt, args);
+  obs::Json results = header;
   results["supervised"] = true;
   obs::Json harnesses = obs::Json::object();
 
@@ -493,8 +477,8 @@ int run_supervised_fleet(const RunnerOptions& opt) {
 // ------------------------------------------------------- in-process mode --
 
 int run_in_process(const RunnerOptions& opt) {
-  const Args args = harness_args(opt);
-  obs::Json results = results_skeleton(opt, args);
+  const Args& args = opt.args;
+  obs::Json results = run_fingerprint(args);
   obs::Json harnesses = obs::Json::object();
 
   const auto& all = all_harnesses();
@@ -533,6 +517,9 @@ int run_in_process(const RunnerOptions& opt) {
 
 int run(int argc, char** argv) {
   const RunnerOptions opt = parse_runner_args(argc, argv);
+  // Resolve every --only name before anything runs or is written: a typo
+  // must not produce (or overwrite) a results file with no harnesses.
+  for (const auto& name : opt.only) find_harness(name);
   if (opt.list) {
     for (const auto& info : all_harnesses()) {
       std::cout << info.name << '\t' << info.figure << '\n';

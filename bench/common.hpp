@@ -1,20 +1,17 @@
-// Shared plumbing for the figure/table bench harnesses: checked argument
-// parsing, study construction, and the standalone-main adapter. Every
-// harness accepts:
+// Shared plumbing for the figure/table bench harnesses: checked parsing of
+// the harness flags, study construction, and the exit-code ladder. The
+// harness flags, parsed here for bench_runner (and forwarded verbatim to
+// its --child processes), are:
 //   --days D          override every system's synthesis window (default:
 //                     each system's calibrated window — 120 d, 14 d Helios)
 //   --seed S          RNG seed (default 42)
 //   --systems a,b,c   restrict to a subset (unknown names are an error)
 //   --ablation        run the harness's extra ablation sweep, if any
 //   --smoke           tiny-run mode: harnesses cap their job counts
-//   --json PATH       also write the harness obs::Report as JSON ("-" =
-//                     stdout)
 //
 // Each harness implements `obs::Report run_<name>(const Args&,
-// std::ostream&)` and closes with LUMOS_BENCH_MAIN(run_<name>). The same
-// source compiles twice: standalone (the macro emits main) and into the
-// lumos_bench_harnesses library for bench_runner (compiled with
-// -DLUMOS_BENCH_LIBRARY, where the macro emits nothing).
+// std::ostream&)`, declared in harnesses.hpp and compiled once into
+// bench_runner, the only bench program.
 //
 // All bench processes exit with the unified codes below (0 ok, 2 usage,
 // 3 runtime error, 4 injected fault) and ignore SIGPIPE, so the
@@ -37,8 +34,8 @@
 
 namespace lumos::bench {
 
-// Unified bench process exit codes. Every bench main (standalone harness,
-// bench_runner, and bench_runner's --child mode) maps errors onto these,
+// Unified bench process exit codes. bench_runner (and its --child mode)
+// maps errors onto these,
 // and the supervisor maps them back onto journal statuses — notably
 // kExitUsage is never retried (a malformed command line is not transient).
 inline constexpr int kExitOk = 0;
@@ -49,12 +46,11 @@ inline constexpr int kExitFault = 4;        ///< fault::InjectedFault
 
 /// Benches write reports into pipes and files; a reader that disappears
 /// must surface as a stream error at the write site, not kill the whole
-/// harness with SIGPIPE mid-report. Call once at the top of every bench
-/// main.
+/// harness with SIGPIPE mid-report. Call once at the top of main.
 inline void ignore_sigpipe() { std::signal(SIGPIPE, SIG_IGN); }
 
 /// The shared catch-ladder: maps an in-flight exception onto the unified
-/// exit codes, printing the message (and usage for argument errors).
+/// exit codes, printing the message.
 inline int map_bench_exception(const char* argv0) {
   try {
     throw;
@@ -79,8 +75,6 @@ struct Args {
   /// Tiny-run mode: harnesses cap max_jobs so the whole suite finishes in
   /// seconds (the bench_runner --smoke ctest path).
   bool smoke = false;
-  /// When non-empty, the standalone main writes the Report here as JSON.
-  std::string json_out;
 
   double days_or(double fallback) const {
     return study.duration_days.value_or(fallback);
@@ -120,44 +114,35 @@ inline std::string canonical_system(std::string_view name) {
   return synth::calibration_for(name).spec.name;
 }
 
-inline const char* usage() {
-  return "[--days D] [--seed S] [--systems a,b,c] [--ablation] [--smoke] "
-         "[--json PATH]";
-}
-
-/// Parses the shared harness flags; throws InvalidArgument on malformed
-/// values, unknown systems, or unknown flags.
-inline Args parse_args(int argc, char** argv) {
-  Args args;
-  const auto value_of = [&](int& i, const std::string& flag) -> std::string {
+/// Consumes argv[i] (and its value) if it is one of the harness flags
+/// above, applying it to `args` and advancing `i` past the value. Returns
+/// false, consuming nothing, for any other argument. Throws
+/// InvalidArgument on a missing or malformed value or an unknown system.
+inline bool parse_harness_flag(Args& args, int& i, int argc, char** argv) {
+  const std::string arg = argv[i];
+  const auto value = [&]() -> std::string {
     if (i + 1 >= argc) {
-      throw InvalidArgument(flag + " requires a value");
+      throw InvalidArgument(arg + " requires a value");
     }
     return argv[++i];
   };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--days") {
-      args.study.duration_days = parse_positive_double(value_of(i, arg),
-                                                       "--days");
-    } else if (arg == "--seed") {
-      args.study.seed = parse_u64(value_of(i, arg), "--seed");
-    } else if (arg == "--systems") {
-      const std::string list = value_of(i, arg);  // split views into this
-      for (auto part : util::split(list, ',')) {
-        args.study.systems.push_back(canonical_system(part));
-      }
-    } else if (arg == "--ablation") {
-      args.ablation = true;
-    } else if (arg == "--smoke") {
-      args.smoke = true;
-    } else if (arg == "--json") {
-      args.json_out = value_of(i, arg);
-    } else {
-      throw InvalidArgument("unknown argument \"" + arg + "\"");
+  if (arg == "--days") {
+    args.study.duration_days = parse_positive_double(value(), "--days");
+  } else if (arg == "--seed") {
+    args.study.seed = parse_u64(value(), "--seed");
+  } else if (arg == "--systems") {
+    const std::string list = value();  // split views into this
+    for (auto part : util::split(list, ',')) {
+      args.study.systems.push_back(canonical_system(part));
     }
+  } else if (arg == "--ablation") {
+    args.ablation = true;
+  } else if (arg == "--smoke") {
+    args.smoke = true;
+  } else {
+    return false;
   }
-  return args;
+  return true;
 }
 
 inline core::CrossSystemStudy make_study(const Args& args) {
@@ -173,41 +158,4 @@ inline void banner(std::ostream& out, const std::string& what,
       << "==================================================\n";
 }
 
-/// The standalone-binary driver: parse flags, run the harness against
-/// stdout, attach the registry snapshot, optionally export JSON.
-/// Returns the unified exit codes (kExitOk/kExitUsage/kExitRuntime/
-/// kExitFault) so a supervisor can classify any failure.
-inline int harness_main(int argc, char** argv,
-                        obs::Report (*run)(const Args&, std::ostream&)) {
-  ignore_sigpipe();
-  try {
-    const Args args = parse_args(argc, argv);
-    obs::ScopedTimer timer("bench.harness_seconds");
-    obs::Report report = run(args, std::cout);
-    report.wall_seconds = timer.elapsed_seconds();
-    timer.cancel();
-    report.observability = obs::Registry::global().snapshot();
-    if (!args.json_out.empty()) {
-      obs::write_json_atomic(report.to_json(), args.json_out);
-    }
-    return kExitOk;
-  } catch (const InvalidArgument& e) {
-    std::cerr << argv[0] << ": " << e.what() << "\nusage: " << argv[0] << ' '
-              << usage() << '\n';
-    return kExitUsage;
-  } catch (const std::exception&) {
-    // Re-throws inside and resolves the dynamic type to an exit code.
-    return map_bench_exception(argv[0]);
-  }
-}
-
 }  // namespace lumos::bench
-
-#ifdef LUMOS_BENCH_LIBRARY
-#define LUMOS_BENCH_MAIN(run_fn)
-#else
-#define LUMOS_BENCH_MAIN(run_fn)                     \
-  int main(int argc, char** argv) {                  \
-    return lumos::bench::harness_main(argc, argv, run_fn); \
-  }
-#endif

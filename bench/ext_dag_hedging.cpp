@@ -212,5 +212,3 @@ obs::Report run_ext_dag_hedging(const Args& args, std::ostream& out) {
 }
 
 }  // namespace lumos::bench
-
-LUMOS_BENCH_MAIN(lumos::bench::run_ext_dag_hedging)

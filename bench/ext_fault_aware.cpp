@@ -43,5 +43,3 @@ obs::Report run_ext_fault_aware(const Args& args_in, std::ostream& out) {
 }
 
 }  // namespace lumos::bench
-
-LUMOS_BENCH_MAIN(lumos::bench::run_ext_fault_aware)

@@ -57,5 +57,3 @@ obs::Report run_ext_lublin_baseline(const Args& args_in, std::ostream& out) {
 }
 
 }  // namespace lumos::bench
-
-LUMOS_BENCH_MAIN(lumos::bench::run_ext_lublin_baseline)

@@ -103,5 +103,3 @@ obs::Report run_ext_node_failures(const Args& args_in, std::ostream& out) {
 }
 
 }  // namespace lumos::bench
-
-LUMOS_BENCH_MAIN(lumos::bench::run_ext_node_failures)

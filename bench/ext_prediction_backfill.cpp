@@ -45,5 +45,3 @@ obs::Report run_ext_prediction_backfill(const Args& args_in,
 }
 
 }  // namespace lumos::bench
-
-LUMOS_BENCH_MAIN(lumos::bench::run_ext_prediction_backfill)

@@ -412,5 +412,3 @@ obs::Report run_ext_serve_chaos(const Args& args_in, std::ostream& out) {
 }
 
 }  // namespace lumos::bench
-
-LUMOS_BENCH_MAIN(lumos::bench::run_ext_serve_chaos)

@@ -55,5 +55,3 @@ obs::Report run_ext_status_prediction(const Args& args_in,
 }
 
 }  // namespace lumos::bench
-
-LUMOS_BENCH_MAIN(lumos::bench::run_ext_status_prediction)

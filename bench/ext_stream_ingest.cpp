@@ -241,5 +241,3 @@ obs::Report run_ext_stream_ingest(const Args& args_in, std::ostream& out) {
 }
 
 }  // namespace lumos::bench
-
-LUMOS_BENCH_MAIN(lumos::bench::run_ext_stream_ingest)

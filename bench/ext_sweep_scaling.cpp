@@ -159,5 +159,3 @@ obs::Report run_ext_sweep_scaling(const Args& args_in, std::ostream& out) {
 }
 
 }  // namespace lumos::bench
-
-LUMOS_BENCH_MAIN(lumos::bench::run_ext_sweep_scaling)

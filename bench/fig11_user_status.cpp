@@ -71,5 +71,3 @@ obs::Report run_fig11_user_status(const Args& args, std::ostream& out) {
 }
 
 }  // namespace lumos::bench
-
-LUMOS_BENCH_MAIN(lumos::bench::run_fig11_user_status)

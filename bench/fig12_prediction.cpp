@@ -105,5 +105,3 @@ obs::Report run_fig12_prediction(const Args& args_in, std::ostream& out) {
 }
 
 }  // namespace lumos::bench
-
-LUMOS_BENCH_MAIN(lumos::bench::run_fig12_prediction)

@@ -62,5 +62,3 @@ obs::Report run_fig3_utilization(const Args& args, std::ostream& out) {
 }
 
 }  // namespace lumos::bench
-
-LUMOS_BENCH_MAIN(lumos::bench::run_fig3_utilization)

@@ -45,5 +45,3 @@ obs::Report run_fig4_waiting(const Args& args, std::ostream& out) {
 }
 
 }  // namespace lumos::bench
-
-LUMOS_BENCH_MAIN(lumos::bench::run_fig4_waiting)

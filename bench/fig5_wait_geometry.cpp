@@ -32,5 +32,3 @@ obs::Report run_fig5_wait_geometry(const Args& args, std::ostream& out) {
 }
 
 }  // namespace lumos::bench
-
-LUMOS_BENCH_MAIN(lumos::bench::run_fig5_wait_geometry)

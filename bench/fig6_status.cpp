@@ -29,5 +29,3 @@ obs::Report run_fig6_status(const Args& args, std::ostream& out) {
 }
 
 }  // namespace lumos::bench
-
-LUMOS_BENCH_MAIN(lumos::bench::run_fig6_status)

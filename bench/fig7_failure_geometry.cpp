@@ -27,5 +27,3 @@ obs::Report run_fig7_failure_geometry(const Args& args, std::ostream& out) {
 }
 
 }  // namespace lumos::bench
-
-LUMOS_BENCH_MAIN(lumos::bench::run_fig7_failure_geometry)

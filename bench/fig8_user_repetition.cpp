@@ -28,5 +28,3 @@ obs::Report run_fig8_user_repetition(const Args& args, std::ostream& out) {
 }
 
 }  // namespace lumos::bench
-
-LUMOS_BENCH_MAIN(lumos::bench::run_fig8_user_repetition)

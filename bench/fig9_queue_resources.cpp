@@ -27,5 +27,3 @@ obs::Report run_fig9_queue_resources(const Args& args, std::ostream& out) {
 }
 
 }  // namespace lumos::bench
-
-LUMOS_BENCH_MAIN(lumos::bench::run_fig9_queue_resources)

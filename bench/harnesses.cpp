@@ -1,7 +1,6 @@
-// The harness registry behind bench_runner, plus in-process single-shot
-// versions of the two google-benchmark micro suites (those binaries own
-// their main and measure iterations; the runner wants one deterministic
-// pass with domain counters instead).
+// The harness registry behind bench_runner, plus the two micro harnesses:
+// one deterministic single-shot pass each, publishing domain counters
+// (and, for micro_sim, the throughput gauges `lumos perf-gate` reads).
 #include <algorithm>
 #include <cstdint>
 #include <ostream>
@@ -21,8 +20,7 @@ namespace lumos::bench {
 obs::Report run_micro_sim(const Args& args, std::ostream& out) {
   banner(out, "Micro: simulator event-loop throughput (single-shot)",
          "events scale with jobs; conservative backfilling does the most "
-         "profile work, EASY the least (micro_sim runs the iterated "
-         "google-benchmark version of this)");
+         "profile work, EASY the least");
 
   obs::Report report;
   report.harness = "micro_sim";
@@ -89,8 +87,7 @@ obs::Report run_micro_sim(const Args& args, std::ostream& out) {
 obs::Report run_micro_ml(const Args& args, std::ostream& out) {
   banner(out, "Micro: prediction-model fit/predict timings (single-shot)",
          "linear regression fits orders of magnitude faster than GBRT; "
-         "timings land in the obs histograms (micro_ml runs the iterated "
-         "google-benchmark version of this)");
+         "timings land in the obs histograms");
 
   obs::Report report;
   report.harness = "micro_ml";

@@ -1,10 +1,7 @@
-// In-process entry points for every bench harness, plus the registry the
-// unified bench_runner iterates. Each figure/table .cpp defines its
-// `run_<name>` here-declared function and also compiles standalone via
-// LUMOS_BENCH_MAIN (common.hpp documents the two-build scheme). The
-// micro-benchmark equivalents (run_micro_sim / run_micro_ml) live in
-// harnesses.cpp: the google-benchmark binaries cannot run in-process, so
-// the runner executes lightweight single-shot versions instead.
+// In-process entry points for every bench harness, plus the registry
+// bench_runner iterates. Each figure/table .cpp defines its here-declared
+// `run_<name>` function; the two micro harnesses (run_micro_sim /
+// run_micro_ml) live in harnesses.cpp.
 #pragma once
 
 #include <iosfwd>
@@ -43,7 +40,7 @@ obs::Report run_micro_sim(const Args& args, std::ostream& out);
 obs::Report run_micro_ml(const Args& args, std::ostream& out);
 
 struct HarnessInfo {
-  std::string_view name;    ///< binary / JSON-entry name
+  std::string_view name;    ///< --only / JSON-entry name
   std::string_view figure;  ///< paper artefact ("Figure 4", "Table 2", ...)
   obs::Report (*run)(const Args& args, std::ostream& out);
   /// Metric-key prefixes that must match at least one emitted metric —

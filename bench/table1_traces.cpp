@@ -67,5 +67,3 @@ obs::Report run_table1_traces(const Args& args, std::ostream& out) {
 }
 
 }  // namespace lumos::bench
-
-LUMOS_BENCH_MAIN(lumos::bench::run_table1_traces)

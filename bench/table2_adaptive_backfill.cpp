@@ -64,5 +64,3 @@ obs::Report run_table2_adaptive_backfill(const Args& args_in,
 }
 
 }  // namespace lumos::bench
-
-LUMOS_BENCH_MAIN(lumos::bench::run_table2_adaptive_backfill)

@@ -1,6 +1,7 @@
 #include "trace/swf.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -22,6 +23,18 @@ JobStatus status_from_swf(long long code) noexcept {
     case 5: return JobStatus::Killed;   // cancelled
     default: return JobStatus::Failed;  // 0 failed, 3/4 partial
   }
+}
+
+/// Streams a double in shortest round-trip form, so read_swf parses back
+/// the exact value (the stream default keeps only 6 significant digits).
+struct Exact {
+  double value;
+};
+
+std::ostream& operator<<(std::ostream& out, Exact e) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), e.value);
+  return out.write(buf, res.ptr - buf);
 }
 
 long long status_to_swf(JobStatus s) noexcept {
@@ -153,13 +166,14 @@ void write_swf(std::ostream& out, const Trace& trace) {
   out << "; TimeZoneOffsetHours: " << spec.utc_offset_hours << "\n";
   for (const Job& j : trace.jobs()) {
     out << j.id + 1 << ' '                        // 1 job number (1-based)
-        << j.submit_time << ' '                   // 2 submit
-        << j.wait_time << ' '                     // 3 wait
-        << j.run_time << ' '                      // 4 run
+        << Exact{j.submit_time} << ' '            // 2 submit
+        << Exact{j.wait_time} << ' '              // 3 wait
+        << Exact{j.run_time} << ' '               // 4 run
         << j.cores << ' '                         // 5 allocated procs
         << -1 << ' ' << -1 << ' '                 // 6 cpu time, 7 memory
         << j.cores << ' '                         // 8 requested procs
-        << (j.has_requested_time() ? j.requested_time : -1.0) << ' '  // 9
+        << Exact{j.has_requested_time() ? j.requested_time : -1.0}
+        << ' '                                    // 9 requested time
         << -1 << ' '                              // 10 requested memory
         << status_to_swf(j.status) << ' '         // 11 status
         << j.user << ' '                          // 12 user

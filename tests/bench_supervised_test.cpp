@@ -6,7 +6,9 @@
 // harnesses' metrics land. A second invocation must resume from the
 // journal, re-running only the failed harness. Finally, a fault-free
 // supervised run must produce per-harness domain metrics bit-identical
-// to the in-process runner.
+// to the in-process runner, also when the harness flags (--systems,
+// --ablation) are forwarded to the children, and an unknown --only name
+// must fail as a usage error before anything runs or is written.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -184,6 +186,52 @@ TEST(BenchSupervised, FaultFreeRunMatchesInProcessMetricsBitForBit) {
     ASSERT_NE(sup, nullptr);
     EXPECT_EQ(*inproc, *sup)
         << name << ": supervised metrics diverge from in-process";
+  }
+}
+
+TEST(BenchSupervised, ForwardedHarnessFlagsMatchInProcessMetrics) {
+  TempDir dir;
+  const std::vector<std::string> flags = {
+      "--smoke", "--systems", "Theta", "--ablation", "--only",
+      "table2_adaptive_backfill,fig12_prediction"};
+  const std::string in_process_out = (dir.path / "inproc.json").string();
+  std::vector<std::string> in_process_args = flags;
+  in_process_args.insert(in_process_args.end(), {"--out", in_process_out});
+  const auto in_process = run_runner(in_process_args);
+  ASSERT_EQ(in_process.exit_code, 0) << in_process.stderr_tail;
+  std::vector<std::string> supervised_args = flags;
+  supervised_args.insert(supervised_args.end(),
+                         {"--supervised", "--fresh", "--out", dir.out()});
+  const auto supervised = run_runner(supervised_args);
+  ASSERT_EQ(supervised.exit_code, 0) << supervised.stderr_tail;
+
+  const obs::Json a = load_json(in_process_out);
+  const obs::Json b = load_json(dir.out());
+  for (const std::string name :
+       {"table2_adaptive_backfill", "fig12_prediction"}) {
+    EXPECT_EQ(status_of(b, name), "ok");
+    const obs::Json* inproc = harness_entry(a, name).find("metrics");
+    const obs::Json* sup = harness_entry(b, name).find("metrics");
+    ASSERT_NE(inproc, nullptr);
+    ASSERT_NE(sup, nullptr);
+    EXPECT_EQ(*inproc, *sup)
+        << name << ": supervised metrics diverge from in-process";
+  }
+}
+
+TEST(BenchSupervised, UnknownOnlyNameIsAUsageErrorAndWritesNothing) {
+  TempDir dir;
+  for (const bool supervised : {false, true}) {
+    std::vector<std::string> args = {"--only", "table1_traces,fig4_wating",
+                                     "--out", dir.out()};
+    if (supervised) args.emplace_back("--supervised");
+    const auto result = run_runner(args);
+    EXPECT_EQ(result.exit_code, 2) << result.stderr_tail;
+    EXPECT_NE(result.stderr_tail.find("fig4_wating"), std::string::npos);
+    EXPECT_EQ(result.stdout_text.find("table1_traces"), std::string::npos)
+        << "a harness ran before the bad name was rejected";
+    EXPECT_FALSE(fs::exists(dir.out()));
+    EXPECT_FALSE(fs::exists(dir.journal()));
   }
 }
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <sstream>
 
 #include "sim/metrics.hpp"
 #include "sim/profile.hpp"
@@ -12,6 +14,7 @@
 #include "stats/ecdf.hpp"
 #include "stats/histogram.hpp"
 #include "synth/generator.hpp"
+#include "trace/swf.hpp"
 #include "util/rng.hpp"
 
 namespace lumos {
@@ -151,6 +154,10 @@ struct SimGridParam {
   sim::BackfillKind backfill;
 };
 
+void PrintTo(const SimGridParam& p, std::ostream* os) {
+  *os << to_string(p.policy) << ' ' << to_string(p.backfill);
+}
+
 class SimulatorInvariants : public ::testing::TestWithParam<SimGridParam> {};
 
 TEST_P(SimulatorInvariants, HoldOnSyntheticWorkload) {
@@ -278,6 +285,39 @@ TEST_P(GeneratorProperty, StatusFractionsBounded) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneratorProperty,
                          ::testing::Values(101, 202, 303, 404, 505));
+
+// ------------------------------------- lossless SWF write -> read trip ---
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+class SwfRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Every time field survives write_swf -> read_swf bit for bit, including
+// submit times late in a 120-day window (a fixed 6-significant-digit
+// writer rounds those to the nearest 100 s).
+TEST_P(SwfRoundTrip, TimesAreBitEqual) {
+  synth::GeneratorOptions options;
+  options.seed = GetParam();
+  options.duration_days = 120.0;
+  for (const char* system : {"Theta", "BlueWaters"}) {
+    const auto original = synth::generate_system(system, options);
+    std::stringstream swf;
+    trace::write_swf(swf, original);
+    const auto back = trace::read_swf(swf, original.spec());
+    ASSERT_EQ(back.size(), original.size()) << system;
+    for (std::size_t i = 0; i < back.size(); ++i) {
+      const auto& a = original[i];
+      const auto& b = back[i];
+      EXPECT_EQ(bits(b.submit_time), bits(a.submit_time)) << system << i;
+      EXPECT_EQ(bits(b.wait_time), bits(a.wait_time)) << system << i;
+      EXPECT_EQ(bits(b.run_time), bits(a.run_time)) << system << i;
+      EXPECT_EQ(bits(b.requested_time), bits(a.requested_time))
+          << system << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SwfRoundTrip, ::testing::Values(7, 2026));
 
 }  // namespace
 }  // namespace lumos

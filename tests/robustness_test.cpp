@@ -20,6 +20,12 @@ struct Param {
   std::uint64_t seed;
 };
 
+// Names the parameter in readable text; gtest's default is a byte dump of
+// the struct, which embeds the run-dependent address of `system`.
+void PrintTo(const Param& p, std::ostream* os) {
+  *os << p.system << " seed " << p.seed;
+}
+
 class SystemSweep : public ::testing::TestWithParam<Param> {
  protected:
   trace::Trace make(double days = 5.0) const {

@@ -231,8 +231,8 @@ TEST(LumosLint, FlagsStdoutInLibraryCodeOnly) {
   // The sanctioned sink and the non-library trees may print.
   EXPECT_TRUE(lint::lint_source("util/logging.cpp", body).empty());
   EXPECT_TRUE(lint::lint_source("tools/lumos_cli.cpp", body).empty());
-  // Bench harnesses render into a caller-supplied stream (common.hpp's
-  // harness_main owns the binding to stdout); direct use is a violation.
+  // Bench harnesses render into a caller-supplied stream (bench_runner
+  // owns the binding to stdout); direct use is a violation.
   const auto bench = lint::lint_source("bench/table1_traces.cpp", body);
   ASSERT_EQ(bench.size(), 1u);
   EXPECT_EQ(bench[0].rule, "stdout-io");

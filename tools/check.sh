@@ -17,14 +17,16 @@
 #             (clang-tidy additionally gates compiles when configured with
 #              -DLUMOS_LINT=ON and a clang-tidy binary is on PATH)
 #   docs      the docs_check ctest: every tools/lint/layers.txt module
-#             must appear in docs/ARCHITECTURE.md and every bench binary
-#             documented in docs/FIGURES.md must exist in bench/
+#             must appear in docs/ARCHITECTURE.md, and the docs/FIGURES.md
+#             rows must be exactly the harnesses `bench_runner --list`
+#             prints
 #   bench     bench_runner --smoke --verify: every harness on capped
 #             workloads, JSON self-check + same-seed determinism
 #   bench:supervised  the bench_supervised_smoke ctest: fault drill of the
 #             crash-isolated fleet (injected crash/hang/garbage, journal
 #             resume, in-process-vs-supervised metric equivalence)
-#   serve:chaos  the ext_serve_chaos drill standalone: lumos_serve killed
+#   serve:chaos  the ext_serve_chaos drill on its own
+#             (`bench_runner --only ext_serve_chaos`): lumos_serve killed
 #             (SIGKILL) at seeded points mid-stream and SIGTERM'd once,
 #             restarted, and required to replay only the gap since its
 #             last checkpoint and reproduce the uninterrupted report
@@ -34,6 +36,9 @@
 #             gauges (sim.jobs_per_sec, stream.events_per_sec) against
 #             the committed BENCH_results.json and fails on a >20%
 #             regression
+#   perfbench:digests  every perfbench workload once for a second: fails
+#             when an output digest or check no longer matches
+#             perfbench/references.json (output drift, no timing gate)
 #
 # Continues past failures and prints a single PASS/FAIL summary; exit
 # status is non-zero if any stage failed. Run from the repo root:
@@ -97,8 +102,8 @@ run_stage "lint:ctest" ctest --test-dir build \
 run_stage "lint:ratchet" ./build/tools/lumos_lint --ratchet \
   --layers tools/lint/layers.txt --baseline tools/lint/baseline.json \
   src bench
-# Docs-rot gate: layers.txt modules ↔ ARCHITECTURE.md, FIGURES.md
-# binaries ↔ bench/ sources (tools/docs_check.cpp).
+# Docs-rot gate: layers.txt modules ↔ ARCHITECTURE.md, FIGURES.md rows ↔
+# bench_runner --list (tools/docs_check.cpp).
 run_stage "docs:check" ctest --test-dir build \
   -R '^docs_check$' --output-on-failure
 run_stage "bench:smoke" ./build/bench/bench_runner --smoke --verify \
@@ -108,7 +113,8 @@ run_stage "bench:supervised" ctest --test-dir build \
 # Crash-consistency drill: kill -9 the serve daemon at seeded points,
 # restart, and require gap-only replay plus a bit-identical final report
 # (DESIGN.md §4g; the harness throws on any divergence).
-run_stage "serve:chaos" ./build/bench/ext_serve_chaos --smoke
+run_stage "serve:chaos" ./build/bench/bench_runner --only ext_serve_chaos \
+  --smoke --out build/BENCH_chaos.json
 # Throughput gate: the bench:smoke stage above refreshed
 # build/BENCH_check.json; gate its throughput gauges (sim.jobs_per_sec,
 # stream.events_per_sec) against the committed baseline. 20% tolerance
@@ -117,6 +123,10 @@ run_stage "serve:chaos" ./build/bench/ext_serve_chaos --smoke
 run_stage "bench:perf" ./build/tools/lumos perf-gate \
   --baseline BENCH_results.json --current build/BENCH_check.json \
   --max-regression 0.20
+# Output drift: perfbench/run.py exits 1 when any workload's digest or
+# check fails; one second per workload keeps this a correctness stage.
+run_stage "perfbench:digests" python3 perfbench/run.py --workload all \
+  --seconds 1
 
 echo
 echo "================ check.sh summary ================"

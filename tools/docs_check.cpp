@@ -2,19 +2,22 @@
 //
 // Docs drift silently: a module gets added to tools/lint/layers.txt but
 // never to docs/ARCHITECTURE.md, or a FIGURES.md row keeps naming a bench
-// binary that was renamed away. This tool pins the two invariants the
-// docs overhaul established:
+// harness that was renamed away. This tool pins two invariants:
 //
 //   1. every module declared in tools/lint/layers.txt (and the `bench`
 //      pseudo-module) is documented in docs/ARCHITECTURE.md — matched as
 //      a backticked `module` mention, the way the module map writes them;
-//   2. every bench binary named in a docs/FIGURES.md table row
-//      (first-column `| `name` |` cells) exists as bench/<name>.cpp.
+//   2. the docs/FIGURES.md table rows (first-column `| `name` |` cells)
+//      and the harnesses `bench_runner --list` prints are the same set:
+//      every row names a harness, and every harness has a row.
 //
-// Usage: docs_check --repo <repo root>. Prints one line per violation and
-// exits non-zero on any, so `ctest -R docs_check` gives file-level
-// diagnostics. Registered in tools/CMakeLists.txt; also run by
-// tools/check.sh's docs stage.
+// Usage: docs_check --repo <repo root> [--runner <bench_runner>]. Check 2
+// runs only when --runner is given (the bench is optional in the build).
+// Prints one line per violation and exits non-zero on any, so
+// `ctest -R docs_check` gives file-level diagnostics. Registered in
+// tools/CMakeLists.txt; also run by tools/check.sh's docs stage.
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -52,8 +55,8 @@ std::vector<std::string> layer_modules(const std::string& text) {
   return modules;
 }
 
-/// First-column backticked binary names of FIGURES.md table rows.
-std::vector<std::string> figures_binaries(const std::string& text) {
+/// First-column backticked harness names of FIGURES.md table rows.
+std::vector<std::string> figures_rows(const std::string& text) {
   std::vector<std::string> names;
   std::istringstream lines(text);
   std::string line;
@@ -69,12 +72,40 @@ std::vector<std::string> figures_binaries(const std::string& text) {
   return names;
 }
 
+/// Harness names from `<runner> --list` (first tab-separated column).
+/// Returns false if the runner cannot be run or fails.
+bool runner_harnesses(const std::string& runner,
+                      std::vector<std::string>& names) {
+  const std::string command = "\"" + runner + "\" --list";
+  FILE* pipe = ::popen(command.c_str(), "r");
+  if (pipe == nullptr) return false;
+  std::string listing;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
+    listing.append(buf, n);
+  }
+  if (::pclose(pipe) != 0) return false;
+  std::istringstream lines(listing);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (!line.empty()) names.push_back(line.substr(0, line.find('\t')));
+  }
+  return true;
+}
+
+bool contains(const std::vector<std::string>& names, const std::string& n) {
+  return std::find(names.begin(), names.end(), n) != names.end();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   fs::path repo = ".";
+  std::string runner;
   for (int i = 1; i + 1 < argc; i += 2) {
     if (std::string(argv[i]) == "--repo") repo = argv[i + 1];
+    if (std::string(argv[i]) == "--runner") runner = argv[i + 1];
   }
   const auto layers = read_file(repo / "tools" / "lint" / "layers.txt");
   const auto architecture =
@@ -94,19 +125,33 @@ int main(int argc, char** argv) {
     }
   }
 
-  for (const auto& name : figures_binaries(figures)) {
-    const fs::path source = repo / "bench" / (name + ".cpp");
-    if (!fs::exists(source)) {
-      std::cout << "docs_check: docs/FIGURES.md names binary \"" << name
-                << "\" but bench/" << name << ".cpp does not exist\n";
-      ++violations;
+  const auto rows = figures_rows(figures);
+  std::vector<std::string> harnesses;
+  if (!runner.empty()) {
+    if (!runner_harnesses(runner, harnesses)) {
+      std::cout << "docs_check: \"" << runner << " --list\" failed\n";
+      return 2;
+    }
+    for (const auto& name : rows) {
+      if (!contains(harnesses, name)) {
+        std::cout << "docs_check: docs/FIGURES.md names \"" << name
+                  << "\" but bench_runner --list has no such harness\n";
+        ++violations;
+      }
+    }
+    for (const auto& name : harnesses) {
+      if (!contains(rows, name)) {
+        std::cout << "docs_check: harness \"" << name
+                  << "\" (bench_runner --list) has no docs/FIGURES.md row\n";
+        ++violations;
+      }
     }
   }
 
   if (violations == 0) {
     std::cout << "docs_check: clean (" << layer_modules(layers).size()
-              << " modules, " << figures_binaries(figures).size()
-              << " bench binaries checked)\n";
+              << " modules, " << harnesses.size()
+              << " bench harnesses checked)\n";
     return 0;
   }
   std::cout << "docs_check: " << violations << " violation(s)\n";

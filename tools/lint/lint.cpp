@@ -458,7 +458,7 @@ std::vector<Diagnostic> lint_source(std::string_view rel_path,
   // stdout-io allowlist, one entry per legitimate stream owner:
   //  * util/logging      — the logging sink itself;
   //  * obs/json.cpp      — write_json's documented "-" = stdout path;
-  //  * bench/common.hpp  — harness_main, the standalone-binary adapter;
+  //  * bench/common.hpp  — map_bench_exception, the exit-code ladder;
   //  * bench/bench_runner.cpp — the runner's progress/usage output.
   if (checked_code &&
       !path_is_any(rel_path,
@@ -467,8 +467,8 @@ std::vector<Diagnostic> lint_source(std::string_view rel_path,
     apply_token_rules(stdout_rules(), stripped_lines, rel_path, out);
   }
   // raw-exit: entry-point TUs (anything defining `int main(`) own their
-  // process and may exit/abort — e.g. a harness's generated main or the
-  // runner's --inject-fault crash hook. Everything else must return or
+  // process and may exit/abort — e.g. bench_runner's --inject-fault
+  // crash hook. Everything else must return or
   // throw so the supervisor sees the documented exit-code taxonomy.
   if (checked_code) {
     static const std::regex main_re(R"(\bint\s+main\s*\()");
