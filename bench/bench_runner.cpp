@@ -1,8 +1,11 @@
 // Unified bench runner: executes every harness in docs/FIGURES.md and
 // writes one BENCH_results.json (schema documented in DESIGN.md
-// §Observability). Domain metrics are deterministic for a fixed seed;
-// wall times and obs histograms are not and are excluded from --verify's
-// same-seed comparison.
+// §Observability). Every harness entry — metrics, counters and gauges —
+// is deterministic for a fixed seed, so --verify compares whole entries
+// and regenerating the file changes it only when behaviour changes.
+// Harness wall times appear only on the progress lines, which go to
+// stderr (so `--out -` prints nothing but the JSON document); perfbench/
+// is where throughput is measured.
 //
 // Two execution modes:
 //   in-process (default)  every harness runs in this process — fastest,
@@ -55,7 +58,7 @@ struct RunnerOptions {
   Args args;
   /// The harness flags as typed, forwarded verbatim to every --child.
   std::vector<std::string> harness_flags;
-  bool verify = false;   ///< run twice, require identical domain metrics
+  bool verify = false;   ///< run twice, require identical entries
   bool list = false;     ///< print harness names and exit
   bool echo = false;     ///< forward harness table output to stdout
   std::string out = "BENCH_results.json";
@@ -164,7 +167,7 @@ const HarnessInfo& find_harness(std::string_view name) {
   throw InvalidArgument("unknown harness: " + std::string(name));
 }
 
-/// Runs one harness with a fresh global registry; fills wall time and the
+/// Runs one harness with a fresh global registry; fills the
 /// observability snapshot.
 obs::Report run_one(const HarnessInfo& info, const Args& args,
                     std::ostream& sink) {
@@ -175,13 +178,16 @@ obs::Report run_one(const HarnessInfo& info, const Args& args,
   // (the ext_fault_aware "sim.events: 0" bug). No harness holds handles
   // across runs, so dropping the instruments outright is safe here.
   registry.clear();
-  const auto start = std::chrono::steady_clock::now();
   obs::Report report = info.run(args, sink);
-  report.wall_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
   report.observability = registry.snapshot();
   return report;
+}
+
+/// --verify: a same-seed rerun in a fresh registry must reproduce the
+/// whole harness entry (metrics, counters and gauges) bit for bit.
+bool reproduces(const HarnessInfo& info, const Args& args,
+                const obs::Report& report, std::ostream& sink) {
+  return run_one(info, args, sink).to_json() == report.to_json();
 }
 
 /// Every required metric prefix must match at least one emitted key —
@@ -206,7 +212,7 @@ std::vector<std::string> missing_metrics(const HarnessInfo& info,
 /// supervised journal, which resumes only under an equal fingerprint.
 obs::Json run_fingerprint(const Args& args) {
   obs::Json doc = obs::Json::object();
-  doc["schema_version"] = 1;
+  doc["schema_version"] = 2;
   doc["git_rev"] = LUMOS_GIT_REV;
   doc["seed"] = args.study.seed;
   doc["smoke"] = args.smoke;
@@ -227,7 +233,7 @@ int finish_run(const RunnerOptions& opt, obs::Json& results,
   results["harnesses"] = std::move(harnesses);
   obs::write_json_atomic(results, opt.out);
   if (opt.out != "-") {
-    std::cout << "wrote " << opt.out << '\n';
+    std::cerr << "wrote " << opt.out << '\n';
     // Self-check: the written file must parse back and carry the
     // documented top-level keys (what the bench_smoke ctest relies on).
     std::ifstream in(opt.out);
@@ -235,7 +241,7 @@ int finish_run(const RunnerOptions& opt, obs::Json& results,
     buf << in.rdbuf();
     const obs::Json parsed = obs::Json::parse(buf.str());
     if (!parsed.find("schema_version") || !parsed.find("harnesses")) {
-      std::cout << "self-check FAILED: written JSON lacks documented keys\n";
+      std::cerr << "self-check FAILED: written JSON lacks documented keys\n";
       ++failures;
     }
   }
@@ -278,15 +284,11 @@ int run_child_mode(const RunnerOptions& opt) {
   maybe_inject_fault(opt);
   const Args& args = opt.args;
   std::ostringstream sink;
-  obs::Report report = run_one(info, args, sink);
-  if (opt.verify) {
-    // Same seed, fresh registry: domain metrics must be bit-identical.
-    const obs::Report again = run_one(info, args, sink);
-    if (again.metrics != report.metrics) {
-      std::cerr << "bench_runner: non-deterministic domain metrics for "
-                << info.name << '\n';
-      return kExitRuntime;
-    }
+  const obs::Report report = run_one(info, args, sink);
+  if (opt.verify && !reproduces(info, args, report, sink)) {
+    std::cerr << "bench_runner: non-deterministic harness entry for "
+              << info.name << '\n';
+    return kExitRuntime;
   }
   std::cout << report.to_json().dump(-1) << '\n';
   return kExitOk;
@@ -362,7 +364,7 @@ int run_supervised_fleet(const RunnerOptions& opt) {
   supervise::Journal journal(journal_file, /*truncate=*/!resume);
   if (!resume) journal.write_header(header);
   if (resume && !completed.empty()) {
-    std::cout << "resuming from " << journal_file << ": "
+    std::cerr << "resuming from " << journal_file << ": "
               << completed.size() << " harness(es) already complete\n";
   }
 
@@ -376,15 +378,15 @@ int run_supervised_fleet(const RunnerOptions& opt) {
   for (const auto& info : all) {
     ++index;
     if (!selected(opt, info.name)) continue;
-    std::cout << "[" << index << "/" << all.size() << "] " << info.name
-              << " ..." << std::flush;
+    std::cerr << "[" << index << "/" << all.size() << "] " << info.name
+              << " ...";
 
     if (const auto done = completed.find(std::string(info.name));
         done != completed.end()) {
       obs::Json entry = done->second;
       entry["status"] = "skipped";
       harnesses[std::string(info.name)] = std::move(entry);
-      std::cout << " skipped (journal)\n";
+      std::cerr << " skipped (journal)\n";
       continue;
     }
 
@@ -446,7 +448,7 @@ int run_supervised_fleet(const RunnerOptions& opt) {
       entry["status"] = status;
       entry["supervise"] = std::move(supervisor);
       harnesses[std::string(info.name)] = std::move(entry);
-      std::cout << " " << util::fixed(last.child.wall_seconds, 2) << " s (ok"
+      std::cerr << " " << util::fixed(last.child.wall_seconds, 2) << " s (ok"
                 << (outcome.attempts.size() > 1
                         ? ", " + std::to_string(outcome.attempts.size()) +
                               " attempts"
@@ -465,10 +467,10 @@ int run_supervised_fleet(const RunnerOptions& opt) {
       }
       entry["supervise"] = std::move(supervisor);
       harnesses[std::string(info.name)] = std::move(entry);
-      std::cout << " " << status << " after " << outcome.attempts.size()
+      std::cerr << " " << status << " after " << outcome.attempts.size()
                 << " attempt(s)";
-      if (!last.detail.empty()) std::cout << " — " << last.detail;
-      std::cout << '\n';
+      if (!last.detail.empty()) std::cerr << " — " << last.detail;
+      std::cerr << '\n';
     }
   }
   return finish_run(opt, results, std::move(harnesses), failures);
@@ -487,29 +489,28 @@ int run_in_process(const RunnerOptions& opt) {
   for (const auto& info : all) {
     ++index;
     if (!selected(opt, info.name)) continue;
-    std::cout << "[" << index << "/" << all.size() << "] " << info.name
-              << " ..." << std::flush;
+    std::cerr << "[" << index << "/" << all.size() << "] " << info.name
+              << " ...";
     std::ostringstream sink;
-    obs::Report report = run_one(info, args, sink);
-    if (opt.echo) std::cout << '\n' << sink.str();
+    const auto start = std::chrono::steady_clock::now();
+    const obs::Report report = run_one(info, args, sink);
+    const std::chrono::duration<double> wall =
+        std::chrono::steady_clock::now() - start;
+    if (opt.echo) std::cout << '\n' << sink.str() << std::flush;
 
     std::string status = "ok";
     for (const auto& prefix : missing_metrics(info, report)) {
       status = "FAIL";
       ++failures;
-      std::cout << "\n  missing required metric prefix: " << prefix;
+      std::cerr << "\n  missing required metric prefix: " << prefix;
     }
-    if (opt.verify) {
-      // Same seed, fresh registry: domain metrics must be bit-identical.
-      const obs::Report again = run_one(info, args, sink);
-      if (again.metrics != report.metrics) {
-        status = "FAIL";
-        ++failures;
-        std::cout << "\n  non-deterministic domain metrics";
-      }
+    if (opt.verify && !reproduces(info, args, report, sink)) {
+      status = "FAIL";
+      ++failures;
+      std::cerr << "\n  non-deterministic harness entry";
     }
-    std::cout << " " << util::fixed(report.wall_seconds, 2) << " s ("
-              << status << ")\n";
+    std::cerr << " " << util::fixed(wall.count(), 2) << " s (" << status
+              << ")\n";
     harnesses[std::string(info.name)] = report.to_json();
   }
   return finish_run(opt, results, std::move(harnesses), failures);

@@ -23,8 +23,7 @@
 // The kill points are deterministic in --seed, and every kill lands on a
 // checkpoint boundary by construction (the poll waits for the stable
 // final cursor), so metrics — including replayed-event counts — are
-// bit-reproducible and --verify-safe. Wall-clock recovery times land in
-// gauges, outside the determinism contract.
+// bit-reproducible and --verify-safe.
 #include <algorithm>
 #include <chrono>
 #include <csignal>
@@ -279,7 +278,6 @@ obs::Report run_ext_serve_chaos(const Args& args_in, std::ostream& out) {
       Drill{std::max<std::uint64_t>(cadence, total / 2), /*graceful=*/true});
 
   const std::string bin = serve_binary();
-  auto& registry = obs::Registry::global();
   util::TextTable table(
       {"drill", "kind", "killed at", "checkpointed", "replayed",
        "identical"});
@@ -310,7 +308,6 @@ obs::Report run_ext_serve_chaos(const Args& args_in, std::ostream& out) {
     // The last cadence checkpoint before the cut is the stable value the
     // poll waits for; killing after it makes the replay count exact.
     const std::uint64_t checkpointed = (p / cadence) * cadence;
-    const auto phase1_start = Clock::now();
     if (drill.graceful) {
       await_checkpoint_events(checkpoint_path, checkpointed, pid, 60.0);
       ::kill(pid, SIGTERM);
@@ -326,9 +323,6 @@ obs::Report run_ext_serve_chaos(const Args& args_in, std::ostream& out) {
       int status = 0;
       ::waitpid(pid, &status, 0);
     }
-    registry.histogram("chaos.phase1_seconds")
-        .observe(std::chrono::duration<double>(Clock::now() - phase1_start)
-                     .count());
 
     // A graceful SIGTERM flushes a final checkpoint covering everything
     // it consumed (all p events); a SIGKILL leaves the last cadence one.
@@ -348,7 +342,6 @@ obs::Report run_ext_serve_chaos(const Args& args_in, std::ostream& out) {
     // Phase 2: grow the file to full length, restart, run to completion.
     write_file(swf_path, std::string_view(full_text).substr(cut),
                /*append=*/true);
-    const auto recovery_start = Clock::now();
     const std::vector<std::string> resume_args = {
         bin, "--in", swf_path, "--out", report_path,
         "--checkpoint", checkpoint_path,
@@ -360,10 +353,6 @@ obs::Report run_ext_serve_chaos(const Args& args_in, std::ostream& out) {
       throw InternalError("ext_serve_chaos: resumed daemon exited with " +
                           std::to_string(code));
     }
-    registry.histogram("chaos.recovery_seconds")
-        .observe(
-            std::chrono::duration<double>(Clock::now() - recovery_start)
-                .count());
 
     // Contract: identical metrics, exact replay accounting.
     const obs::Json final_doc = read_json_file(report_path);
@@ -401,7 +390,7 @@ obs::Report run_ext_serve_chaos(const Args& args_in, std::ostream& out) {
   }
 
   report.set("chaos.drills", static_cast<double>(drills.size()));
-  registry.counter("chaos.drills").add(drills.size());
+  obs::Registry::global().counter("chaos.drills").add(drills.size());
 
   out << table.render();
   out << total << " events, checkpoint every " << cadence

@@ -1,7 +1,7 @@
 // Extension harness: streaming ingest (stream::OnlineCharacterizer).
 //
-// The sketch-vs-exact accuracy gate and the throughput benchmark of the
-// streaming "lumos-served" mode (DESIGN.md "Streaming mode"):
+// The sketch-vs-exact accuracy gate of the streaming "lumos-served" mode
+// (DESIGN.md "Streaming mode"):
 //   1. generates a synthetic trace, ingests it one job event at a time,
 //      and checks every quantile the sketches answer against the exact
 //      stats::Ecdf — the observed rank error must stay within the
@@ -11,11 +11,9 @@
 //      shard order, checking the exact parts (counts, diurnal profile,
 //      inter-arrival moments, histogram) are identical to serial ingest
 //      and the merged sketch stays within epsilon — the merge
-//      associativity contract behind Registry::merge-style composition;
-//   3. times repeated serial ingest rounds and publishes the perf-gated
-//      gauges: stream.events_per_sec and stream.peak_rss_mb.
+//      associativity contract behind Registry::merge-style composition.
 // Deterministic metrics carry the observed error maxima and the identity
-// verdicts; rates and RSS are gauges.
+// verdicts. The serve workload of perfbench/ measures ingest throughput.
 #include <algorithm>
 #include <cmath>
 #include <future>
@@ -25,10 +23,8 @@
 
 #include "common.hpp"
 #include "harnesses.hpp"
-#include "obs/registry.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/ecdf.hpp"
-#include "stream/ingest.hpp"
 #include "stream/online.hpp"
 #include "synth/generator.hpp"
 #include "util/error.hpp"
@@ -198,28 +194,6 @@ obs::Report run_ext_stream_ingest(const Args& args_in, std::ostream& out) {
   // --- characterization metrics (deterministic) ---------------------
   serial.publish(report, "stream.");
 
-  // --- throughput: repeated timed serial rounds ---------------------
-  const std::size_t rounds = std::max<std::size_t>(
-      1, args.jobs_cap(500000, 20000) / jobs.size());
-  auto& registry = obs::Registry::global();
-  double ingest_seconds = 0.0;
-  {
-    obs::ScopedTimer timer(registry.histogram("stream.ingest_seconds"));
-    for (std::size_t r = 0; r < rounds; ++r) {
-      stream::OnlineCharacterizer scratch(config);
-      for (const auto& job : jobs) scratch.ingest(job);
-    }
-    ingest_seconds = timer.elapsed_seconds();
-  }
-  const double total_events =
-      static_cast<double>(jobs.size()) * static_cast<double>(rounds);
-  registry.gauge("stream.events_per_sec")
-      .set(ingest_seconds > 0.0 ? total_events / ingest_seconds : 0.0);
-  registry.gauge("stream.peak_rss_mb").set(stream::peak_rss_mb());
-  registry.gauge("stream.rounds").set(static_cast<double>(rounds));
-  registry.counter("stream.events")
-      .add(static_cast<std::uint64_t>(total_events));
-
   util::TextTable t({"quantity", "observed", "bound"});
   t.add_row({"runtime rank err", util::fixed(runtime_err, 5),
              util::fixed(eps, 5)});
@@ -234,9 +208,7 @@ obs::Report run_ext_stream_ingest(const Args& args_in, std::ostream& out) {
   out << t.render();
   out << jobs.size() << " jobs, retained " << serial.retained_items()
       << " items across sketches (" << kShards
-      << "-way sharded merge identical), ingest "
-      << util::fixed(total_events / std::max(ingest_seconds, 1e-9), 0)
-      << " events/s over " << rounds << " rounds\n";
+      << "-way sharded merge identical)\n";
   return report;
 }
 

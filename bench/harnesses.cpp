@@ -1,16 +1,10 @@
-// The harness registry behind bench_runner, plus the two micro harnesses:
-// one deterministic single-shot pass each, publishing domain counters
-// (and, for micro_sim, the throughput gauges `lumos perf-gate` reads).
-#include <algorithm>
-#include <cstdint>
+// The harness registry behind bench_runner, plus the micro_sim harness:
+// one deterministic single-shot pass per backfill kind, publishing the
+// simulator's event-loop counters. Throughput is perfbench/'s job.
 #include <ostream>
 
 #include "common.hpp"
 #include "harnesses.hpp"
-#include "obs/registry.hpp"
-#include "ml/gbrt.hpp"
-#include "ml/linear.hpp"
-#include "predict/features.hpp"
 #include "sim/simulator.hpp"
 #include "synth/generator.hpp"
 #include "util/table.hpp"
@@ -18,7 +12,7 @@
 namespace lumos::bench {
 
 obs::Report run_micro_sim(const Args& args, std::ostream& out) {
-  banner(out, "Micro: simulator event-loop throughput (single-shot)",
+  banner(out, "Micro: simulator event-loop work (single-shot)",
          "events scale with jobs; conservative backfilling does the most "
          "profile work, EASY the least");
 
@@ -49,78 +43,6 @@ obs::Report run_micro_sim(const Args& args, std::ostream& out) {
                std::to_string(result.counters.profile_rebuilds)});
   }
   out << "Theta, " << trace.size() << " jobs:\n" << t.render();
-
-  // Throughput measurement for the bench:perf regression gate. The repeat
-  // count is deterministic (sized from the trace so smoke runs process
-  // ~50k jobs and are not noise-dominated); the timed loop publishes into
-  // a private registry so the global counters above keep their
-  // single-run values. Rates land in GAUGES — deliberately outside the
-  // deterministic `metrics` section that --verify compares.
-  const std::size_t repeats = std::max<std::size_t>(
-      1, 50000 / std::max<std::size_t>(std::size_t{1}, trace.size()));
-  obs::Registry scratch;
-  std::uint64_t events = 0;
-  auto& registry = obs::Registry::global();
-  obs::ScopedTimer timer(registry.histogram("micro.sim_wall_seconds"));
-  for (std::size_t rep = 0; rep < repeats; ++rep) {
-    sim::SimConfig config;
-    config.backfill.kind = sim::BackfillKind::Easy;
-    events += sim::simulate(trace, config, scratch).counters.events;
-  }
-  const double seconds = timer.elapsed_seconds();
-  const double jobs_done = static_cast<double>(trace.size()) *
-                           static_cast<double>(repeats);
-  registry.gauge("sim.jobs_per_sec")
-      .set(seconds > 0.0 ? jobs_done / seconds : 0.0);
-  registry.gauge("sim.events_per_sec")
-      .set(seconds > 0.0 ? static_cast<double>(events) / seconds : 0.0);
-  registry.gauge("sim.throughput_repeats")
-      .set(static_cast<double>(repeats));
-  out << "throughput: " << repeats << " EASY repeats, "
-      << static_cast<std::uint64_t>(jobs_done) << " jobs in "
-      << util::fixed(seconds, 3) << " s ("
-      << static_cast<std::uint64_t>(seconds > 0.0 ? jobs_done / seconds : 0.0)
-      << " jobs/s)\n";
-  return report;
-}
-
-obs::Report run_micro_ml(const Args& args, std::ostream& out) {
-  banner(out, "Micro: prediction-model fit/predict timings (single-shot)",
-         "linear regression fits orders of magnitude faster than GBRT; "
-         "timings land in the obs histograms");
-
-  obs::Report report;
-  report.harness = "micro_ml";
-  report.figure = "Micro-benchmark: prediction models";
-
-  synth::GeneratorOptions options;
-  options.seed = args.study.seed;
-  options.duration_days = args.days_or(7.0);
-  options.max_jobs = args.jobs_cap(8000, 2000);
-  const auto trace = synth::generate_system("Philly", options);
-  const auto feats = predict::extract_features(trace);
-  const auto data = predict::build_dataset(feats, {});
-  report.set("dataset_rows", static_cast<double>(data.size()));
-  report.set("dataset_features", static_cast<double>(data.dims()));
-
-  auto& registry = obs::Registry::global();
-  {
-    obs::ScopedTimer timer(registry.histogram("micro.fit_seconds.linear"));
-    ml::LinearRegression model;
-    model.fit(data);
-    report.set("linear_weights",
-               static_cast<double>(model.weights().size()));
-  }
-  {
-    obs::ScopedTimer timer(registry.histogram("micro.fit_seconds.gbrt"));
-    ml::GbrtOptions gbrt_options;
-    gbrt_options.n_trees = 30;
-    ml::GradientBoosting model(gbrt_options);
-    model.fit(data);
-    report.set("gbrt_trees", static_cast<double>(model.tree_count()));
-  }
-  out << "Philly dataset: " << data.size() << " rows x " << data.dims()
-      << " features; fit timings recorded in micro.fit_seconds.*\n";
   return report;
 }
 
@@ -172,8 +94,6 @@ const std::vector<HarnessInfo>& all_harnesses() {
        {"rank_err.", "stream."}},
       {"ext_serve_chaos", "Extension", run_ext_serve_chaos, {"chaos."}},
       {"micro_sim", "Micro", run_micro_sim, {"events.", "backfilled."}},
-      {"micro_ml", "Micro", run_micro_ml,
-       {"dataset_rows", "dataset_features"}},
   };
   return kHarnesses;
 }

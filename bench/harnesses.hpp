@@ -1,7 +1,7 @@
 // In-process entry points for every bench harness, plus the registry
 // bench_runner iterates. Each figure/table .cpp defines its here-declared
-// `run_<name>` function; the two micro harnesses (run_micro_sim /
-// run_micro_ml) live in harnesses.cpp.
+// `run_<name>` function; the micro harness (run_micro_sim) lives in
+// harnesses.cpp.
 #pragma once
 
 #include <iosfwd>
@@ -37,7 +37,6 @@ obs::Report run_ext_sweep_scaling(const Args& args, std::ostream& out);
 obs::Report run_ext_stream_ingest(const Args& args, std::ostream& out);
 obs::Report run_ext_serve_chaos(const Args& args, std::ostream& out);
 obs::Report run_micro_sim(const Args& args, std::ostream& out);
-obs::Report run_micro_ml(const Args& args, std::ostream& out);
 
 struct HarnessInfo {
   std::string_view name;    ///< --only / JSON-entry name

@@ -73,14 +73,10 @@ std::vector<BackfillComparison> run_backfill_study(
   pool.parallel_for(0, eligible.size(), [&](std::size_t i) {
     rows[i] = compare_backfill(*eligible[i], config);
   });
-  // Publish pool usage: tasks_run is deterministic (chunk count), the
-  // queue high-water mark is scheduling-dependent, hence a gauge.
-  const util::ThreadPool::Stats stats = pool.stats();
-  auto& registry = obs::Registry::global();
-  registry.counter("threadpool.tasks_run").add(stats.tasks_run);
-  registry.gauge("threadpool.threads").set(static_cast<double>(stats.threads));
-  registry.gauge("threadpool.max_queue_depth")
-      .set_max(static_cast<double>(stats.max_queue_depth));
+  // Publish pool usage: tasks_run is deterministic (chunk count).
+  obs::Registry::global()
+      .counter("threadpool.tasks_run")
+      .add(pool.tasks_run());
   return rows;
 }
 

@@ -18,11 +18,6 @@ class LinearRegression final : public Regressor {
   [[nodiscard]] double predict(std::span<const double> row) const override;
   [[nodiscard]] std::string name() const override { return "LR"; }
 
-  /// Learned weights (standardised space), bias last; empty before fit.
-  [[nodiscard]] const std::vector<double>& weights() const noexcept {
-    return weights_;
-  }
-
  private:
   double l2_;
   Standardizer scaler_;

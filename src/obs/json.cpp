@@ -432,25 +432,6 @@ Json to_json(const Snapshot& snapshot) {
   Json gauges = Json::object();
   for (const auto& g : snapshot.gauges) gauges[g.name] = g.value;
   out["gauges"] = std::move(gauges);
-  Json histograms = Json::object();
-  for (const auto& h : snapshot.histograms) {
-    Json entry = Json::object();
-    entry["count"] = h.count;
-    entry["sum"] = h.sum;
-    entry["mean"] = h.count > 0 ? h.sum / static_cast<double>(h.count) : 0.0;
-    entry["min"] = h.min;
-    entry["max"] = h.max;
-    Json buckets = Json::array();
-    for (const auto& [bound, count] : h.buckets) {
-      Json bucket = Json::object();
-      bucket["le"] = bound;
-      bucket["n"] = count;
-      buckets.push_back(std::move(bucket));
-    }
-    entry["buckets"] = std::move(buckets);
-    histograms[h.name] = std::move(entry);
-  }
-  out["histograms"] = std::move(histograms);
   return out;
 }
 

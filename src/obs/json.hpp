@@ -12,8 +12,7 @@
 // module can produce.
 //
 // `to_json(Snapshot)` maps a registry snapshot onto the documented schema
-// (DESIGN.md "Observability"): counters/gauges as flat objects, histograms
-// as {count, sum, mean, min, max, buckets}.
+// (DESIGN.md "Observability"): counters and gauges as flat objects.
 #pragma once
 
 #include <cstdint>

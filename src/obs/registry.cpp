@@ -1,96 +1,6 @@
 #include "obs/registry.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
-
 namespace lumos::obs {
-
-namespace {
-
-/// CAS add for atomic<double>: portable across libstdc++ versions that
-/// predate P0020 fetch_add on floating atomics.
-void atomic_add(std::atomic<double>& target, double delta) noexcept {
-  double cur = target.load(std::memory_order_relaxed);
-  while (!target.compare_exchange_weak(cur, cur + delta,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_min(std::atomic<double>& target, double v) noexcept {
-  double cur = target.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !target.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_max(std::atomic<double>& target, double v) noexcept {
-  double cur = target.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !target.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-std::int64_t now_ns() noexcept {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------- gauge --
-
-void Gauge::set_max(double v) noexcept { atomic_max(value_, v); }
-
-// ------------------------------------------------------------ histogram --
-
-void Histogram::observe(double v) noexcept {
-  buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t n = count_.fetch_add(1, std::memory_order_relaxed);
-  atomic_add(sum_, v);
-  if (n == 0) {
-    // First observation seeds min/max; concurrent first observations still
-    // converge through the CAS loops below.
-    double expected = 0.0;
-    min_.compare_exchange_strong(expected, v, std::memory_order_relaxed);
-    expected = 0.0;
-    max_.compare_exchange_strong(expected, v, std::memory_order_relaxed);
-  }
-  atomic_min(min_, v);
-  atomic_max(max_, v);
-}
-
-double Histogram::sum() const noexcept {
-  return sum_.load(std::memory_order_relaxed);
-}
-double Histogram::min() const noexcept {
-  return min_.load(std::memory_order_relaxed);
-}
-double Histogram::max() const noexcept {
-  return max_.load(std::memory_order_relaxed);
-}
-
-double Histogram::bucket_bound(std::size_t i) noexcept {
-  return kBase * std::ldexp(1.0, static_cast<int>(i));
-}
-
-std::size_t Histogram::bucket_index(double v) noexcept {
-  if (!(v > kBase)) return 0;  // also catches NaN and non-positive values
-  const int exp = static_cast<int>(std::floor(std::log2(v / kBase)));
-  if (exp < 0) return 0;
-  return std::min<std::size_t>(static_cast<std::size_t>(exp), kBuckets - 1);
-}
-
-void Histogram::reset() noexcept {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(0.0, std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
-}
-
-// ------------------------------------------------------------- registry --
 
 namespace {
 
@@ -116,11 +26,6 @@ Gauge& Registry::gauge(std::string_view name) {
   return find_or_create(gauges_, name);
 }
 
-Histogram& Registry::histogram(std::string_view name) {
-  util::ScopedLock lock(mutex_);
-  return find_or_create(histograms_, name);
-}
-
 Snapshot Registry::snapshot() const {
   util::ScopedLock lock(mutex_);
   Snapshot snap;
@@ -132,20 +37,6 @@ Snapshot Registry::snapshot() const {
   for (const auto& [name, g] : gauges_) {
     snap.gauges.push_back({name, g->value()});
   }
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    HistogramSample s;
-    s.name = name;
-    s.count = h->count();
-    s.sum = h->sum();
-    s.min = h->min();
-    s.max = h->max();
-    for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-      const std::uint64_t n = h->bucket(i);
-      if (n > 0) s.buckets.emplace_back(Histogram::bucket_bound(i), n);
-    }
-    snap.histograms.push_back(std::move(s));
-  }
   return snap;  // std::map iteration is already name-sorted
 }
 
@@ -153,14 +44,12 @@ void Registry::reset() {
   util::ScopedLock lock(mutex_);
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
 }
 
 void Registry::clear() {
   util::ScopedLock lock(mutex_);
   counters_.clear();
   gauges_.clear();
-  histograms_.clear();
 }
 
 void Registry::merge(const Snapshot& snap) {
@@ -171,48 +60,11 @@ void Registry::merge(const Snapshot& snap) {
   for (const auto& s : snap.gauges) {
     find_or_create(gauges_, s.name).set(s.value);
   }
-  for (const auto& s : snap.histograms) {
-    Histogram& h = find_or_create(histograms_, s.name);
-    for (const auto& [bound, n] : s.buckets) {
-      h.buckets_[Histogram::bucket_index(bound)].fetch_add(
-          n, std::memory_order_relaxed);
-    }
-    const std::uint64_t before =
-        h.count_.fetch_add(s.count, std::memory_order_relaxed);
-    atomic_add(h.sum_, s.sum);
-    if (s.count > 0) {
-      if (before == 0) {
-        // Seeding an empty histogram: adopt the snapshot's extrema
-        // (min 0.0 would otherwise be unbeatable for positive samples).
-        h.min_.store(s.min, std::memory_order_relaxed);
-        h.max_.store(s.max, std::memory_order_relaxed);
-      } else {
-        atomic_min(h.min_, s.min);
-        atomic_max(h.max_, s.max);
-      }
-    }
-  }
 }
 
 Registry& Registry::global() {
   static Registry registry;
   return registry;
-}
-
-// ---------------------------------------------------------------- timer --
-
-ScopedTimer::ScopedTimer(Histogram& hist) noexcept
-    : hist_(&hist), start_ns_(now_ns()) {}
-
-ScopedTimer::ScopedTimer(std::string_view name)
-    : hist_(&Registry::global().histogram(name)), start_ns_(now_ns()) {}
-
-ScopedTimer::~ScopedTimer() {
-  if (hist_ != nullptr) hist_->observe(elapsed_seconds());
-}
-
-double ScopedTimer::elapsed_seconds() const noexcept {
-  return static_cast<double>(now_ns() - start_ns_) * 1e-9;
 }
 
 }  // namespace lumos::obs

@@ -1,17 +1,14 @@
 // lumos::obs — named metrics behind a process-wide, thread-safe registry.
 //
-// Three instrument kinds, matching what the bench trajectory needs:
-//   Counter   — monotonically increasing uint64 (events processed, cache
-//               hits, jobs emitted). Relaxed atomic increments; totals are
-//               deterministic for deterministic work.
-//   Gauge     — last-written double (high-water marks, configuration
-//               echoes). Not compared across runs: a gauge may depend on
-//               thread scheduling (e.g. queue-depth high-water marks).
-//   Histogram — fixed log-scale buckets over positive doubles, plus
-//               count/sum/min/max. Used for wall-clock timings via
-//               ScopedTimer, so its contents are *not* deterministic and
-//               are exported under "timings"-style sections, never under
-//               domain metrics.
+// Two instrument kinds:
+//   Counter — monotonically increasing uint64 (events processed, cache
+//             hits, jobs emitted). Relaxed atomic increments; totals are
+//             deterministic for deterministic work.
+//   Gauge   — last-written double (work lost, hedge waste, the serve
+//             daemon's rates and ages). A gauge written from deterministic
+//             work is deterministic; the bench harnesses publish no other
+//             kind. Wall-clock timing is not an instrument here:
+//             perfbench/ is the one place that measures time.
 //
 // Thread-safety contract: instrument handles returned by the registry are
 // valid for the registry's lifetime and individually thread-safe (all
@@ -22,7 +19,6 @@
 // only between harnesses.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -52,13 +48,10 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-written value (not monotone, not deterministic across runs when
-/// written from worker threads — see the header comment).
+/// Last-written value (not monotone).
 class Gauge {
  public:
   void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
-  /// Raises the gauge to `v` if above the current value (high-water mark).
-  void set_max(double v) noexcept;
   [[nodiscard]] double value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
@@ -67,41 +60,6 @@ class Gauge {
   friend class Registry;
   void reset() noexcept { value_.store(0.0, std::memory_order_relaxed); }
   std::atomic<double> value_{0.0};
-};
-
-/// Fixed log-scale histogram: bucket i spans [kBase*2^i, kBase*2^(i+1)),
-/// with underflow folded into bucket 0 and overflow into the last bucket.
-/// kBase = 1 microsecond puts timer observations from ~1 us to ~4.5 years
-/// inside the scale.
-class Histogram {
- public:
-  static constexpr std::size_t kBuckets = 48;
-  static constexpr double kBase = 1e-6;
-
-  void observe(double v) noexcept;
-
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double sum() const noexcept;
-  [[nodiscard]] double min() const noexcept;
-  [[nodiscard]] double max() const noexcept;
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const noexcept {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-  /// Lower bound of bucket i (kBase * 2^i).
-  [[nodiscard]] static double bucket_bound(std::size_t i) noexcept;
-  /// Bucket index for a value (what observe() increments).
-  [[nodiscard]] static std::size_t bucket_index(double v) noexcept;
-
- private:
-  friend class Registry;
-  void reset() noexcept;
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};
-  std::atomic<double> max_{0.0};
 };
 
 // ------------------------------------------------------------ snapshots --
@@ -118,24 +76,12 @@ struct GaugeSample {
   [[nodiscard]] bool operator==(const GaugeSample&) const = default;
 };
 
-struct HistogramSample {
-  std::string name;
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  /// (bucket lower bound, count) for the non-empty buckets only.
-  std::vector<std::pair<double, std::uint64_t>> buckets;
-  [[nodiscard]] bool operator==(const HistogramSample&) const = default;
-};
-
 /// Point-in-time copy of every registered instrument, name-sorted.
 struct Snapshot {
   std::vector<CounterSample> counters;
   std::vector<GaugeSample> gauges;
-  std::vector<HistogramSample> histograms;
   [[nodiscard]] bool empty() const noexcept {
-    return counters.empty() && gauges.empty() && histograms.empty();
+    return counters.empty() && gauges.empty();
   }
 };
 
@@ -152,8 +98,6 @@ class Registry {
   /// across reset(). Hot paths should hold the reference, not re-look-up.
   [[nodiscard]] Counter& counter(std::string_view name) LUMOS_EXCLUDES(mutex_);
   [[nodiscard]] Gauge& gauge(std::string_view name) LUMOS_EXCLUDES(mutex_);
-  [[nodiscard]] Histogram& histogram(std::string_view name)
-      LUMOS_EXCLUDES(mutex_);
 
   /// Copies every instrument's current value, sorted by name.
   [[nodiscard]] Snapshot snapshot() const LUMOS_EXCLUDES(mutex_);
@@ -165,7 +109,7 @@ class Registry {
   void reset() LUMOS_EXCLUDES(mutex_);
 
   /// Removes every instrument — names, values, AND handles. Any
-  /// previously returned Counter/Gauge/Histogram reference is dangling
+  /// previously returned Counter/Gauge reference is dangling
   /// afterwards, so callers own a quiescence precondition: no concurrent
   /// writer may hold a handle across clear(). The bench runner calls this
   /// between harnesses so a section never inherits zero-valued ghosts of
@@ -174,8 +118,7 @@ class Registry {
   void clear() LUMOS_EXCLUDES(mutex_);
 
   /// Folds a snapshot into this registry: counters add, gauges are
-  /// overwritten (last merge wins), histograms accumulate buckets,
-  /// count, sum, and min/max. Instruments missing here are created.
+  /// overwritten (last merge wins). Instruments missing here are created.
   /// Merging shard snapshots in a fixed order (shard index, not
   /// completion order) makes the combined registry deterministic; see
   /// sim::sweep_shards.
@@ -190,32 +133,6 @@ class Registry {
       LUMOS_GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
       LUMOS_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
-      LUMOS_GUARDED_BY(mutex_);
-};
-
-// ---------------------------------------------------------------- timer --
-
-/// RAII wall-clock timer: observes the elapsed seconds into a Histogram
-/// when it goes out of scope. Move-only; `cancel()` discards the sample.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram& hist) noexcept;
-  /// Convenience: times into `Registry::global().histogram(name)`.
-  explicit ScopedTimer(std::string_view name);
-  ~ScopedTimer();
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  /// Discards the pending observation.
-  void cancel() noexcept { hist_ = nullptr; }
-  /// Seconds since construction (the value a destructor now would record).
-  [[nodiscard]] double elapsed_seconds() const noexcept;
-
- private:
-  Histogram* hist_;
-  std::int64_t start_ns_;
 };
 
 }  // namespace lumos::obs

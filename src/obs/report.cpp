@@ -9,14 +9,13 @@ void Report::set(std::string_view key, double value) {
 Json Report::to_json() const {
   Json entry = Json::object();
   entry["figure"] = figure;
-  entry["wall_seconds"] = wall_seconds;
   Json metrics_json = Json::object();
   for (const auto& [key, value] : metrics) metrics_json[key] = value;
   entry["metrics"] = std::move(metrics_json);
   // Observability sections only when instruments were touched — a harness
-  // without counters serialises as plain {figure, wall_seconds, metrics}.
+  // without counters serialises as plain {figure, metrics}.
   const Json snap = obs::to_json(observability);
-  for (const char* section : {"counters", "gauges", "histograms"}) {
+  for (const char* section : {"counters", "gauges"}) {
     const Json* value = snap.find(section);
     if (value != nullptr && !value->entries().empty()) {
       entry[section] = *value;
@@ -30,9 +29,6 @@ Report Report::from_json(std::string harness, const Json& entry) {
   report.harness = std::move(harness);
   if (const Json* figure = entry.find("figure")) {
     report.figure = figure->as_string();
-  }
-  if (const Json* wall = entry.find("wall_seconds")) {
-    report.wall_seconds = wall->as_double();
   }
   if (const Json* metrics = entry.find("metrics")) {
     for (const auto& [key, value] : metrics->entries()) {

@@ -1,14 +1,13 @@
 // obs::Report — the structured result of one bench harness run.
 //
-// A Report separates what is *deterministic* from what is not, and the
-// bench runner's `--verify` mode depends on that split:
+// Every field is a deterministic function of the harness inputs, so the
+// bench runner's `--verify` mode compares whole entries:
 //   metrics       — domain numbers (medians, shares, improvements) that a
 //                   same-seed rerun must reproduce bit-for-bit. These are
 //                   the values docs/FIGURES.md documents per harness.
-//   wall_seconds  — harness wall-clock time; never compared.
 //   observability — the registry snapshot taken after the harness ran
-//                   (counters are deterministic, gauge/histogram timings
-//                   are not; the runner only compares counters).
+//                   (counters and gauges written from deterministic work).
+// Wall-clock time is not part of a Report: perfbench/ measures time.
 //
 // `to_json()` emits the per-harness entry of the BENCH_results.json
 // schema described in DESIGN.md ("Observability").
@@ -28,8 +27,6 @@ struct Report {
   std::string harness;
   /// Paper artefact this reproduces, e.g. "Figure 4" or "Table 2".
   std::string figure;
-  /// Wall-clock seconds for the run (excluded from determinism checks).
-  double wall_seconds = 0.0;
   /// Deterministic domain metrics; same seed => same values.
   std::map<std::string, double> metrics;
   /// Registry snapshot scoped to this harness (runner resets in between).
@@ -38,15 +35,14 @@ struct Report {
   /// Records a metric, overwriting any previous value under `key`.
   void set(std::string_view key, double value);
 
-  /// The per-harness JSON entry: {figure, wall_seconds, metrics,
-  /// counters, gauges, histograms}.
+  /// The per-harness JSON entry: {figure, metrics, counters, gauges}.
   [[nodiscard]] Json to_json() const;
 
-  /// Rebuilds the deterministic fields (figure, wall_seconds, metrics)
-  /// from a per-harness JSON entry — the inverse of to_json() for what
-  /// the supervised bench runner validates. The observability snapshot is
-  /// NOT reconstructed (the supervisor folds the child's JSON in
-  /// verbatim). Throws lumos::InvalidArgument on kind mismatches.
+  /// Rebuilds the domain fields (figure, metrics) from a per-harness
+  /// JSON entry — the inverse of to_json() for what the supervised bench
+  /// runner validates. The observability snapshot is NOT reconstructed
+  /// (the supervisor folds the child's JSON in verbatim). Throws
+  /// lumos::InvalidArgument on kind mismatches.
   [[nodiscard]] static Report from_json(std::string harness,
                                         const Json& entry);
 };

@@ -10,7 +10,6 @@
 #include "ml/mlp.hpp"
 #include "ml/regressor.hpp"
 #include "ml/tobit.hpp"
-#include "obs/registry.hpp"
 #include "predict/last2.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -137,14 +136,10 @@ StudyResult run_prediction_study(const trace::Trace& trace,
         static_cast<ml::TobitRegression*>(elapsed_model.get())
             ->set_censoring(censored);
       }
-      obs::ScopedTimer fit_timer(obs::Registry::global().histogram(
-          "predict.fit_seconds." + to_string(kind)));
       base_model->fit(base_train);
       elapsed_model->fit(elapsed_train);
     }
 
-    obs::ScopedTimer predict_timer(obs::Registry::global().histogram(
-        "predict.predict_seconds." + to_string(kind)));
     for (std::size_t ti = 0; ti < thresholds.size(); ++ti) {
       const double T = thresholds[ti];
       const double frac = config.elapsed_fractions[ti];

@@ -948,8 +948,6 @@ SimResult Simulator::run() {
 
 SimResult simulate(const trace::Trace& trace, const SimConfig& config,
                    obs::Registry& registry) {
-  obs::ScopedTimer timer(registry.histogram(
-      "sim.loop_seconds." + std::string(to_string(config.policy))));
   Simulator sim(trace, config);
   SimResult result = sim.run();
   // Publish the event-loop counters; deterministic for deterministic input.

@@ -10,7 +10,6 @@ namespace lumos::sim {
 SweepOutcome sweep_shards(std::span<const trace::Trace> traces,
                           std::span<const SweepPoint> points,
                           const SweepOptions& options) {
-  LUMOS_REQUIRE(options.repeats > 0, "sweep_shards requires repeats >= 1");
   // Validate every point before any work is fanned out: a bad point
   // fails identically no matter how many threads run the good ones.
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -35,9 +34,7 @@ SweepOutcome sweep_shards(std::span<const trace::Trace> traces,
       // the counters in this shard's snapshot are exactly this run's.
       obs::Registry registry;
       ShardOutcome& shard = outcome.shards[i];
-      for (std::size_t rep = 0; rep < options.repeats; ++rep) {
-        shard.result = simulate(trace, point.config, registry);
-      }
+      shard.result = simulate(trace, point.config, registry);
       shard.metrics =
           compute_metrics(trace, shard.result, point.config.bsld_bound);
       shard.observability = registry.snapshot();

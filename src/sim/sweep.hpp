@@ -12,8 +12,8 @@
 //    completion order cannot leak into results.
 //  * The combined observability snapshot is produced by merging the
 //    shard registries IN SHARD-INDEX ORDER (never completion order):
-//    counters add, gauges take the last-merged value, histograms
-//    accumulate. Same points in, same merged snapshot out.
+//    counters add, gauges take the last-merged value. Same points in,
+//    same merged snapshot out.
 //  * Failures propagate deterministically: the exception surfaced is the
 //    one from the lowest-indexed failing point (ThreadPool::parallel_for
 //    rethrows by chunk index, and point validation happens up front).
@@ -44,10 +44,6 @@ struct SweepOptions {
   /// Worker threads; 0 uses the hardware concurrency. 1 is the serial
   /// reference the bit-identity tests compare against.
   std::size_t threads = 1;
-  /// Times each point is simulated (timing amplification for benchmarks;
-  /// results and metrics come from the last repeat, which — determinism —
-  /// equals every other repeat).
-  std::size_t repeats = 1;
 };
 
 /// Result of one shard, index-aligned with the input points.
@@ -63,8 +59,7 @@ struct SweepOutcome {
 };
 
 /// Runs every point; see the determinism contract above. Throws
-/// InvalidArgument if a point references a missing trace or
-/// `options.repeats == 0`.
+/// InvalidArgument if a point references a missing trace.
 [[nodiscard]] SweepOutcome sweep_shards(std::span<const trace::Trace> traces,
                                         std::span<const SweepPoint> points,
                                         const SweepOptions& options = {});

@@ -44,7 +44,6 @@ obs::Json make_report_document(const IngestResult& result,
   obs::Report report;
   report.harness = "lumos_serve";
   report.figure = "streaming characterization (DESIGN.md Streaming mode)";
-  report.wall_seconds = result.wall_seconds;
   result.characterizer.publish(report, "stream.");
 
   obs::Registry registry;
@@ -75,6 +74,7 @@ obs::Json make_report_document(const IngestResult& result,
   meta["reports"] = obs::Json(result.reports_written);
   meta["bad_rows"] = obs::Json(result.bad_rows);
   meta["unknown_runtime"] = obs::Json(result.unknown_runtime);
+  meta["wall_seconds"] = obs::Json(result.wall_seconds);
   doc["_meta"] = std::move(meta);
   doc["lumos_serve"] = report.to_json();
   return doc;

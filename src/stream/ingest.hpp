@@ -5,10 +5,9 @@
 // the characterization as a schema-versioned report document written with
 // obs::write_json_atomic — so a dashboard (or a test) polling the output
 // path always reads either the previous complete report or the new one,
-// never a torn file. `tools/lumos_serve` is the CLI wrapper;
-// `bench/ext_stream_ingest` reuses the same loop for throughput
-// measurement. EXPERIMENTS.md ("Streaming ingest walkthrough") shows the
-// end-to-end pipe recipe.
+// never a torn file. `tools/lumos_serve` is the CLI wrapper; the serve
+// workload of perfbench/ measures its throughput. EXPERIMENTS.md
+// ("Streaming ingest walkthrough") shows the end-to-end pipe recipe.
 //
 // Crash consistency (DESIGN.md §4g): when `checkpoint_path` is set the
 // loop persists a checkpoint (stream/checkpoint.hpp) — source cursor +
@@ -31,8 +30,9 @@
 //
 // Report document shape (see DESIGN.md "Streaming mode"):
 //   {
-//     "_meta": { "schema_version": 1, "source": ..., "events": ...,
-//                "reports": ..., "bad_rows": ..., "unknown_runtime": ... },
+//     "_meta": { "schema_version": 2, "source": ..., "events": ...,
+//                "reports": ..., "bad_rows": ..., "unknown_runtime": ...,
+//                "wall_seconds": ... },
 //     "lumos_serve": <obs::Report entry — stream.* metrics, plus
 //                     robustness counters/gauges in observability:
 //                     stream.checkpoints_written, stream.source_retries,
@@ -59,7 +59,7 @@ namespace lumos::stream {
 
 /// Version of the emitted report document; bump on breaking changes to
 /// the _meta or metric-key layout.
-inline constexpr int kReportSchemaVersion = 1;
+inline constexpr int kReportSchemaVersion = 2;
 
 struct IngestOptions {
   /// SWF source path; "-" reads stdin.

@@ -24,8 +24,6 @@ WorkloadGenerator::WorkloadGenerator(SystemCalibration cal,
 }
 
 trace::Trace WorkloadGenerator::generate() {
-  obs::ScopedTimer timer(obs::Registry::global().histogram(
-      "synth.generate_seconds." + cal_.spec.name));
   util::Rng rng(options_.seed ^
                 std::hash<std::string>{}(cal_.spec.name));
   UserPopulation population(cal_, rng);

@@ -48,17 +48,7 @@ void ThreadPool::worker_loop() {
       queue_.pop_front();
     }
     task();
-    tasks_run_.fetch_add(1, std::memory_order_relaxed);
   }
-}
-
-ThreadPool::Stats ThreadPool::stats() const {
-  Stats s;
-  s.threads = workers_.size();
-  s.tasks_run = tasks_run_.load(std::memory_order_relaxed);
-  ScopedLock lock(mutex_);
-  s.max_queue_depth = max_queue_depth_;
-  return s;
 }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,

@@ -10,7 +10,6 @@
 // instead of queueing work no worker will ever run.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -42,15 +41,12 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Usage counters, for observability. The pool maintains them itself
-  /// (it sits below lumos_obs in the layering); callers publish them into
-  /// a registry when they want them exported.
-  struct Stats {
-    std::size_t threads = 0;          ///< worker count
-    std::uint64_t tasks_run = 0;      ///< tasks executed to completion
-    std::size_t max_queue_depth = 0;  ///< queue high-water mark
-  };
-  [[nodiscard]] Stats stats() const LUMOS_EXCLUDES(mutex_);
+  /// Tasks executed to completion, for observability. The pool counts
+  /// them itself (it sits below lumos_obs in the layering); callers
+  /// publish the count into a registry when they want it exported.
+  [[nodiscard]] std::uint64_t tasks_run() const noexcept {
+    return tasks_run_.load(std::memory_order_relaxed);
+  }
 
   /// Stops accepting work, runs every already-queued task to completion,
   /// and joins the workers. Idempotent; afterwards `submit` throws.
@@ -64,8 +60,17 @@ class ThreadPool {
     using R = std::invoke_result_t<F>;
     // The failpoint sits inside the packaged task so an injected fault
     // surfaces on the caller's future exactly like a task exception would.
+    // The task is counted on the way out of the packaged task, before its
+    // future turns ready, so a caller that has waited on every future it
+    // submitted reads an exact tasks_run().
     auto task = std::make_shared<std::packaged_task<R()>>(
-        [fn = std::forward<F>(f)]() mutable -> R {
+        [this, fn = std::forward<F>(f)]() mutable -> R {
+          struct CountOnExit {
+            std::atomic<std::uint64_t>& tasks_run;
+            ~CountOnExit() {
+              tasks_run.fetch_add(1, std::memory_order_relaxed);
+            }
+          } count{tasks_run_};
           LUMOS_FAILPOINT("util.thread_pool.task");
           return fn();
         });
@@ -76,7 +81,6 @@ class ThreadPool {
         throw InternalError("ThreadPool::submit called after shutdown");
       }
       queue_.emplace_back([task] { (*task)(); });
-      max_queue_depth_ = std::max(max_queue_depth_, queue_.size());
     }
     cv_.notify_one();
     return fut;
@@ -98,7 +102,6 @@ class ThreadPool {
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_ LUMOS_GUARDED_BY(mutex_);
   bool stop_ LUMOS_GUARDED_BY(mutex_) = false;
-  std::size_t max_queue_depth_ LUMOS_GUARDED_BY(mutex_) = 0;
   std::atomic<std::uint64_t> tasks_run_{0};
 };
 

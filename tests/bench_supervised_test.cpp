@@ -5,10 +5,11 @@
 // recorded (status, exit code or signal, stderr tail) while the healthy
 // harnesses' metrics land. A second invocation must resume from the
 // journal, re-running only the failed harness. Finally, a fault-free
-// supervised run must produce per-harness domain metrics bit-identical
-// to the in-process runner, also when the harness flags (--systems,
-// --ablation) are forwarded to the children, and an unknown --only name
-// must fail as a usage error before anything runs or is written.
+// supervised run must produce harness entries (metrics, counters and
+// gauges) bit-identical to the in-process runner, also when the harness
+// flags (--systems, --ablation) are forwarded to the children; an
+// unknown --only name must fail as a usage error before anything runs or
+// is written; and `--out -` must print nothing but the JSON document.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -65,6 +66,8 @@ supervise::ChildResult run_runner(std::vector<std::string> args,
   spec.argv.insert(spec.argv.end(), args.begin(), args.end());
   spec.deadline_seconds = deadline_seconds;
   spec.grace_seconds = 5.0;
+  // Progress lines go to stderr; keep all of them.
+  spec.stderr_tail_bytes = std::size_t{1} << 16;
   return supervise::run_child(spec);
 }
 
@@ -89,6 +92,31 @@ const obs::Json& harness_entry(const obs::Json& results,
 std::string status_of(const obs::Json& results, const std::string& name) {
   const obs::Json* status = harness_entry(results, name).find("status");
   return status ? status->as_string() : "<missing>";
+}
+
+/// A harness entry without the supervisor's own bookkeeping (status and
+/// the child's wall time/RSS), i.e. what the in-process runner writes.
+obs::Json harness_result(const obs::Json& results, const std::string& name) {
+  obs::Json stripped = obs::Json::object();
+  for (const auto& [key, value] : harness_entry(results, name).entries()) {
+    if (key != "status" && key != "supervise") stripped[key] = value;
+  }
+  return stripped;
+}
+
+/// Every entry of an in-process run equals its supervised counterpart —
+/// metrics, counters and gauges, since all of them are deterministic.
+void expect_entries_equal(const obs::Json& in_process,
+                          const obs::Json& supervised,
+                          const std::vector<std::string>& names) {
+  for (const auto& name : names) {
+    EXPECT_EQ(status_of(supervised, name), "ok");
+    const obs::Json inproc = harness_result(in_process, name);
+    ASSERT_NE(inproc.find("metrics"), nullptr) << name;
+    ASSERT_NE(inproc.find("counters"), nullptr) << name;
+    EXPECT_EQ(inproc, harness_result(supervised, name))
+        << name << ": supervised entry diverges from in-process";
+  }
 }
 
 TEST(BenchSupervised, CrashDrillRecordsFailureAndResumeRerunsOnlyIt) {
@@ -119,8 +147,8 @@ TEST(BenchSupervised, CrashDrillRecordsFailureAndResumeRerunsOnlyIt) {
       run_runner({"--supervised", "--smoke", "--only", kFleet, "--attempts",
                   "1", "--out", dir.out()});
   EXPECT_EQ(second.exit_code, 0) << second.stderr_tail;
-  EXPECT_NE(second.stdout_text.find("resuming from"), std::string::npos);
-  EXPECT_NE(second.stdout_text.find("skipped (journal)"), std::string::npos);
+  EXPECT_NE(second.stderr_tail.find("resuming from"), std::string::npos);
+  EXPECT_NE(second.stderr_tail.find("skipped (journal)"), std::string::npos);
 
   const obs::Json round2 = load_json(dir.out());
   EXPECT_EQ(status_of(round2, "fig4_waiting"), "ok");
@@ -137,9 +165,12 @@ TEST(BenchSupervised, CrashDrillRecordsFailureAndResumeRerunsOnlyIt) {
 
 TEST(BenchSupervised, HangDrillTimesOutWithoutStallingTheFleet) {
   TempDir dir;
+  // The deadline applies to every child: 5 s leaves the healthy smoke
+  // harnesses (about 0.8 s each in an idle ASan+UBSan Debug build) room
+  // under a loaded sanitize run.
   const auto result = run_runner(
       {"--supervised", "--smoke", "--only", kFleet, "--attempts", "1",
-       "--timeout", "1", "--grace", "0.5", "--out", dir.out(),
+       "--timeout", "5", "--grace", "0.5", "--out", dir.out(),
        "--inject-fault", "fig6_status:hang"});
   EXPECT_EQ(result.exit_code, 1) << result.stderr_tail;
   const obs::Json results = load_json(dir.out());
@@ -165,7 +196,7 @@ TEST(BenchSupervised, GarbageStdoutClassifiesAsFailedNotOk) {
   EXPECT_EQ(status_of(results, "fig6_status"), "ok");
 }
 
-TEST(BenchSupervised, FaultFreeRunMatchesInProcessMetricsBitForBit) {
+TEST(BenchSupervised, FaultFreeRunMatchesInProcessEntriesBitForBit) {
   TempDir dir;
   const std::string in_process_out = (dir.path / "inproc.json").string();
   const auto in_process = run_runner(
@@ -176,17 +207,8 @@ TEST(BenchSupervised, FaultFreeRunMatchesInProcessMetricsBitForBit) {
        dir.out()});
   ASSERT_EQ(supervised.exit_code, 0) << supervised.stderr_tail;
 
-  const obs::Json a = load_json(in_process_out);
-  const obs::Json b = load_json(dir.out());
-  for (const auto& name : kFleetNames) {
-    EXPECT_EQ(status_of(b, name), "ok");
-    const obs::Json* inproc = harness_entry(a, name).find("metrics");
-    const obs::Json* sup = harness_entry(b, name).find("metrics");
-    ASSERT_NE(inproc, nullptr);
-    ASSERT_NE(sup, nullptr);
-    EXPECT_EQ(*inproc, *sup)
-        << name << ": supervised metrics diverge from in-process";
-  }
+  expect_entries_equal(load_json(in_process_out), load_json(dir.out()),
+                       kFleetNames);
 }
 
 TEST(BenchSupervised, ForwardedHarnessFlagsMatchInProcessMetrics) {
@@ -205,18 +227,8 @@ TEST(BenchSupervised, ForwardedHarnessFlagsMatchInProcessMetrics) {
   const auto supervised = run_runner(supervised_args);
   ASSERT_EQ(supervised.exit_code, 0) << supervised.stderr_tail;
 
-  const obs::Json a = load_json(in_process_out);
-  const obs::Json b = load_json(dir.out());
-  for (const std::string name :
-       {"table2_adaptive_backfill", "fig12_prediction"}) {
-    EXPECT_EQ(status_of(b, name), "ok");
-    const obs::Json* inproc = harness_entry(a, name).find("metrics");
-    const obs::Json* sup = harness_entry(b, name).find("metrics");
-    ASSERT_NE(inproc, nullptr);
-    ASSERT_NE(sup, nullptr);
-    EXPECT_EQ(*inproc, *sup)
-        << name << ": supervised metrics diverge from in-process";
-  }
+  expect_entries_equal(load_json(in_process_out), load_json(dir.out()),
+                       {"table2_adaptive_backfill", "fig12_prediction"});
 }
 
 TEST(BenchSupervised, UnknownOnlyNameIsAUsageErrorAndWritesNothing) {
@@ -230,9 +242,22 @@ TEST(BenchSupervised, UnknownOnlyNameIsAUsageErrorAndWritesNothing) {
     EXPECT_NE(result.stderr_tail.find("fig4_wating"), std::string::npos);
     EXPECT_EQ(result.stdout_text.find("table1_traces"), std::string::npos)
         << "a harness ran before the bad name was rejected";
+    EXPECT_EQ(result.stderr_tail.find("table1_traces"), std::string::npos)
+        << "a harness ran before the bad name was rejected";
     EXPECT_FALSE(fs::exists(dir.out()));
     EXPECT_FALSE(fs::exists(dir.journal()));
   }
+}
+
+TEST(BenchSupervised, OutDashPrintsOnlyTheJsonDocument) {
+  const auto result =
+      run_runner({"--only", "micro_sim", "--smoke", "--out", "-"});
+  ASSERT_EQ(result.exit_code, 0) << result.stderr_tail;
+  // The whole of stdout parses; progress went to stderr.
+  const obs::Json doc = obs::Json::parse(result.stdout_text);
+  EXPECT_EQ(doc.find("schema_version")->as_int(), 2);
+  EXPECT_NE(harness_entry(doc, "micro_sim").find("metrics"), nullptr);
+  EXPECT_NE(result.stderr_tail.find("micro_sim"), std::string::npos);
 }
 
 }  // namespace

@@ -40,6 +40,21 @@ TEST(ThreadPoolTsan, ConcurrentSubmitFromManyThreads) {
   EXPECT_EQ(sum.load(), 64L * 63L / 2L);
 }
 
+// tasks_run() is published as a deterministic counter: once every future
+// has been waited on, it must count every task, including the last one
+// (the count lands before the future turns ready, not after).
+TEST(ThreadPoolTsan, TasksRunIsExactOnceFuturesAreReady) {
+  for (int round = 0; round < 200; ++round) {
+    util::ThreadPool pool(4);
+    pool.parallel_for(0, 64, [](std::size_t) {});
+    const std::uint64_t chunks = pool.tasks_run();
+    EXPECT_GE(chunks, 1u);
+    auto fut = pool.submit([] { return 1; });
+    EXPECT_EQ(fut.get(), 1);
+    ASSERT_EQ(pool.tasks_run(), chunks + 1) << "round " << round;
+  }
+}
+
 TEST(ThreadPoolTsan, ExceptionPropagationUnderContention) {
   // Dozens of tasks race through the queue; exactly the throwing third
   // surface exceptions through their futures, all others their values.

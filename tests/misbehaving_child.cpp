@@ -51,7 +51,6 @@ constexpr int kFault = 4;
 void print_clean_report() {
   lumos::obs::Json report = lumos::obs::Json::object();
   report["figure"] = "Fixture";
-  report["wall_seconds"] = 0.0;
   lumos::obs::Json metrics = lumos::obs::Json::object();
   metrics["fixture.value"] = 1.0;
   report["metrics"] = std::move(metrics);

@@ -33,47 +33,13 @@ TEST(Counter, StartsAtZeroAndAccumulates) {
   EXPECT_EQ(c.value(), 42u);
 }
 
-TEST(Gauge, SetAndHighWaterMark) {
+TEST(Gauge, SetOverwritesLastValue) {
   Gauge g;
   EXPECT_EQ(g.value(), 0.0);
   g.set(3.5);
   EXPECT_EQ(g.value(), 3.5);
   g.set(1.0);  // plain set may lower
   EXPECT_EQ(g.value(), 1.0);
-  g.set_max(4.0);
-  g.set_max(2.0);  // below the mark: no effect
-  EXPECT_EQ(g.value(), 4.0);
-}
-
-TEST(Histogram, CountSumMinMax) {
-  Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  h.observe(0.5);
-  h.observe(2.0);
-  h.observe(0.125);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.sum(), 2.625);
-  EXPECT_DOUBLE_EQ(h.min(), 0.125);
-  EXPECT_DOUBLE_EQ(h.max(), 2.0);
-}
-
-TEST(Histogram, LogScaleBucketing) {
-  // Bucket i spans [kBase*2^i, kBase*2^(i+1)).
-  EXPECT_DOUBLE_EQ(Histogram::bucket_bound(0), Histogram::kBase);
-  EXPECT_DOUBLE_EQ(Histogram::bucket_bound(10), Histogram::kBase * 1024.0);
-  // Exact lower bounds land in their own bucket; the scale is monotone.
-  for (std::size_t i = 1; i + 1 < Histogram::kBuckets; ++i) {
-    EXPECT_EQ(Histogram::bucket_index(Histogram::bucket_bound(i)), i);
-    EXPECT_LT(Histogram::bucket_bound(i - 1), Histogram::bucket_bound(i));
-  }
-  // Underflow folds into bucket 0, overflow into the last bucket.
-  EXPECT_EQ(Histogram::bucket_index(0.0), 0u);
-  EXPECT_EQ(Histogram::bucket_index(1e-12), 0u);
-  EXPECT_EQ(Histogram::bucket_index(1e18), Histogram::kBuckets - 1);
-
-  Histogram h;
-  h.observe(1e-3);  // 2^10 us => bucket 10 boundary
-  EXPECT_EQ(h.bucket(Histogram::bucket_index(1e-3)), 1u);
 }
 
 // ------------------------------------------------------------- registry --
@@ -96,7 +62,6 @@ TEST(Registry, SnapshotIsNameSortedAndSkipsNothing) {
   reg.counter("b").add(2);
   reg.counter("a").add(1);
   reg.gauge("depth").set(7.0);
-  reg.histogram("t").observe(0.25);
   const Snapshot snap = reg.snapshot();
   ASSERT_EQ(snap.counters.size(), 2u);
   EXPECT_EQ(snap.counters[0].name, "a");
@@ -104,25 +69,20 @@ TEST(Registry, SnapshotIsNameSortedAndSkipsNothing) {
   EXPECT_EQ(snap.counters[1].name, "b");
   ASSERT_EQ(snap.gauges.size(), 1u);
   EXPECT_EQ(snap.gauges[0].value, 7.0);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].count, 1u);
-  EXPECT_DOUBLE_EQ(snap.histograms[0].sum, 0.25);
-  // Only non-empty buckets are sampled.
-  ASSERT_EQ(snap.histograms[0].buckets.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].buckets[0].second, 1u);
 }
 
 TEST(Registry, ResetZeroesButKeepsHandles) {
   Registry reg;
   Counter& c = reg.counter("events");
   c.add(5);
-  reg.histogram("t").observe(1.0);
+  reg.gauge("depth").set(2.0);
   reg.reset();
   EXPECT_EQ(c.value(), 0u);  // same handle, zeroed
   const Snapshot snap = reg.snapshot();
   ASSERT_EQ(snap.counters.size(), 1u);  // name survives reset
   EXPECT_EQ(snap.counters[0].value, 0u);
-  EXPECT_EQ(snap.histograms[0].count, 0u);
+  ASSERT_EQ(snap.gauges.size(), 1u);
+  EXPECT_EQ(snap.gauges[0].value, 0.0);
 }
 
 TEST(Registry, ClearRemovesInstrumentsEntirely) {
@@ -132,7 +92,6 @@ TEST(Registry, ClearRemovesInstrumentsEntirely) {
   Registry reg;
   reg.counter("events").add(5);
   reg.gauge("depth").set(2.0);
-  reg.histogram("t").observe(1.0);
   reg.clear();
   EXPECT_TRUE(reg.snapshot().empty());
   // Names are re-creatable afterwards, starting from scratch.
@@ -141,21 +100,17 @@ TEST(Registry, ClearRemovesInstrumentsEntirely) {
   ASSERT_EQ(snap.counters.size(), 1u);
   EXPECT_EQ(snap.counters[0].value, 1u);
   EXPECT_TRUE(snap.gauges.empty());
-  EXPECT_TRUE(snap.histograms.empty());
 }
 
-TEST(Registry, MergeAddsCountersOverwritesGaugesAccumulatesHistograms) {
+TEST(Registry, MergeAddsCountersOverwritesGauges) {
   Registry a;
   a.counter("events").add(10);
   a.gauge("speed").set(1.0);
-  a.histogram("t").observe(0.5);
-  a.histogram("t").observe(4.0);
 
   Registry b;
   b.counter("events").add(32);
   b.counter("only_b").add(1);
   b.gauge("speed").set(9.0);
-  b.histogram("t").observe(2.0);
 
   Registry merged;
   merged.merge(a.snapshot());
@@ -167,18 +122,12 @@ TEST(Registry, MergeAddsCountersOverwritesGaugesAccumulatesHistograms) {
   EXPECT_EQ(snap.counters[1].value, 1u);
   ASSERT_EQ(snap.gauges.size(), 1u);
   EXPECT_EQ(snap.gauges[0].value, 9.0);  // last merge wins
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].count, 3u);
-  EXPECT_DOUBLE_EQ(snap.histograms[0].sum, 6.5);
-  EXPECT_DOUBLE_EQ(snap.histograms[0].min, 0.5);  // seeded, not clamped to 0
-  EXPECT_DOUBLE_EQ(snap.histograms[0].max, 4.0);
 }
 
 TEST(Registry, MergeIntoEmptyReproducesSnapshot) {
   Registry source;
   source.counter("events").add(7);
   source.gauge("speed").set(3.25);
-  for (double v : {1e-6, 0.125, 1.0, 77.0}) source.histogram("t").observe(v);
   const Snapshot original = source.snapshot();
 
   Registry copy;
@@ -186,21 +135,6 @@ TEST(Registry, MergeIntoEmptyReproducesSnapshot) {
   const Snapshot replayed = copy.snapshot();
   EXPECT_EQ(replayed.counters, original.counters);
   EXPECT_EQ(replayed.gauges, original.gauges);
-  EXPECT_EQ(replayed.histograms, original.histograms);
-}
-
-TEST(ScopedTimer, ObservesOnDestructionUnlessCancelled) {
-  Histogram h;
-  {
-    ScopedTimer t(h);
-    EXPECT_GE(t.elapsed_seconds(), 0.0);
-  }
-  EXPECT_EQ(h.count(), 1u);
-  {
-    ScopedTimer t(h);
-    t.cancel();
-  }
-  EXPECT_EQ(h.count(), 1u);
 }
 
 // Concurrent increments from the pool: totals must be exact (the tsan
@@ -215,12 +149,10 @@ TEST(Registry, ConcurrentIncrementsAreExact) {
       // Lookup inside the task: exercises find-or-create under contention.
       Counter& c = reg.counter("shared");
       for (std::size_t i = 0; i < kPerTask; ++i) c.add();
-      reg.histogram("obs").observe(0.001);
-      reg.gauge("mark").set_max(1.0);
+      reg.gauge("mark").set(1.0);
     });
   }
   EXPECT_EQ(reg.counter("shared").value(), kTasks * kPerTask);
-  EXPECT_EQ(reg.histogram("obs").count(), kTasks);
   EXPECT_EQ(reg.gauge("mark").value(), 1.0);
 }
 
@@ -295,36 +227,24 @@ TEST(SnapshotJson, FollowsDocumentedSchema) {
   Registry reg;
   reg.counter("sim.events").add(10);
   reg.gauge("threads").set(4.0);
-  reg.histogram("t").observe(0.5);
-  reg.histogram("t").observe(1.5);
   const Json j = to_json(reg.snapshot());
   EXPECT_EQ(j.find("counters")->find("sim.events")->as_int(), 10);
   EXPECT_EQ(j.find("gauges")->find("threads")->as_double(), 4.0);
-  const Json* hist = j.find("histograms")->find("t");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->find("count")->as_int(), 2);
-  EXPECT_DOUBLE_EQ(hist->find("sum")->as_double(), 2.0);
-  EXPECT_DOUBLE_EQ(hist->find("mean")->as_double(), 1.0);
-  EXPECT_DOUBLE_EQ(hist->find("min")->as_double(), 0.5);
-  EXPECT_DOUBLE_EQ(hist->find("max")->as_double(), 1.5);
-  // buckets: [{le, n}] over non-empty buckets only.
-  const auto& buckets = hist->find("buckets")->items();
-  ASSERT_EQ(buckets.size(), 2u);
-  EXPECT_EQ(buckets[0].find("n")->as_int(), 1);
+  // Exactly the two instrument sections (no timing section).
+  EXPECT_EQ(j.entries().size(), 2u);
 }
 
 TEST(ReportJson, DomainMetricsSeparateFromObservability) {
   Report report;
   report.harness = "fig4_waiting";
   report.figure = "Figure 4";
-  report.wall_seconds = 0.25;
   report.set("median_wait_s.Mira", 100.0);
   const Json j = report.to_json();
   EXPECT_EQ(j.find("figure")->as_string(), "Figure 4");
-  EXPECT_DOUBLE_EQ(j.find("wall_seconds")->as_double(), 0.25);
   EXPECT_DOUBLE_EQ(
       j.find("metrics")->find("median_wait_s.Mira")->as_double(), 100.0);
-  // Empty snapshot => no counters/gauges/histograms sections.
+  // Empty snapshot => no counters/gauges sections; no wall time either.
+  EXPECT_EQ(j.entries().size(), 2u);
   EXPECT_EQ(j.find("counters"), nullptr);
   // Same inputs, same document: what bench_runner --verify leans on.
   EXPECT_EQ(j.dump(), report.to_json().dump());
@@ -334,13 +254,11 @@ TEST(ReportJson, FromJsonRoundTripsDomainMetrics) {
   Report report;
   report.harness = "fig4_waiting";
   report.figure = "Figure 4";
-  report.wall_seconds = 0.25;
   report.set("median_wait_s.Mira", 100.0);
   report.set("median_wait_s.Intrepid", 0.1234567890123456789);
   const Report restored = Report::from_json("fig4_waiting", report.to_json());
   EXPECT_EQ(restored.harness, "fig4_waiting");
   EXPECT_EQ(restored.figure, "Figure 4");
-  EXPECT_DOUBLE_EQ(restored.wall_seconds, 0.25);
   // Bit-exact metric recovery is what the supervised runner's
   // in-process-vs-child equivalence guarantee rests on.
   EXPECT_EQ(restored.metrics, report.metrics);

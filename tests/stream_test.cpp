@@ -395,8 +395,12 @@ TEST(Ingest, EndToEndReportRoundTrips) {
   EXPECT_EQ(meta->find("schema_version")->as_int(), kReportSchemaVersion);
   EXPECT_EQ(meta->find("events")->as_int(),
             static_cast<std::int64_t>(trace.size()));
+  // Schema 2: the loop's wall time is run metadata, not part of the entry.
+  ASSERT_NE(meta->find("wall_seconds"), nullptr);
+  EXPECT_GE(meta->find("wall_seconds")->as_double(), 0.0);
   const auto* entry = doc.find("lumos_serve");
   ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->find("wall_seconds"), nullptr);
   const auto report = obs::Report::from_json("lumos_serve", *entry);
   EXPECT_DOUBLE_EQ(report.metrics.at("stream.jobs"),
                    static_cast<double>(trace.size()));

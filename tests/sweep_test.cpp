@@ -42,17 +42,11 @@ std::vector<SweepPoint> grid_points() {
   return points;
 }
 
-// Histograms carry wall-clock timings: counts are deterministic, sums are
-// not. Compare everything else exactly and histograms by (name, count).
+// Every instrument is deterministic, so snapshots compare exactly.
 void expect_snapshot_equivalent(const obs::Snapshot& a,
                                 const obs::Snapshot& b) {
   EXPECT_EQ(a.counters, b.counters);
   EXPECT_EQ(a.gauges, b.gauges);
-  ASSERT_EQ(a.histograms.size(), b.histograms.size());
-  for (std::size_t i = 0; i < a.histograms.size(); ++i) {
-    EXPECT_EQ(a.histograms[i].name, b.histograms[i].name);
-    EXPECT_EQ(a.histograms[i].count, b.histograms[i].count);
-  }
 }
 
 TEST(SweepShards, ShardedRunsBitIdenticalToSerial) {
@@ -101,27 +95,6 @@ TEST(SweepShards, MergedCountersAreShardSums) {
                         events_of(outcome.shards[1].observability));
 }
 
-TEST(SweepShards, RepeatsAmplifyCountersNotResults) {
-  const auto traces = two_traces();
-  std::vector<SweepPoint> point(1);
-
-  SweepOptions once;
-  const auto single = sweep_shards(traces, point, once);
-  SweepOptions thrice;
-  thrice.repeats = 3;
-  const auto repeated = sweep_shards(traces, point, thrice);
-
-  EXPECT_TRUE(single.shards[0].result == repeated.shards[0].result);
-  EXPECT_TRUE(single.shards[0].metrics == repeated.shards[0].metrics);
-  for (const auto& counter : repeated.merged.counters) {
-    for (const auto& base : single.merged.counters) {
-      if (base.name == counter.name) {
-        EXPECT_EQ(counter.value, 3 * base.value) << counter.name;
-      }
-    }
-  }
-}
-
 TEST(SweepShards, ValidatesPointsBeforeRunningAny) {
   const auto traces = two_traces();
   std::vector<SweepPoint> points(3);
@@ -133,10 +106,6 @@ TEST(SweepShards, ValidatesPointsBeforeRunningAny) {
   } catch (const InvalidArgument& e) {
     EXPECT_NE(std::string(e.what()).find("broken-point"), std::string::npos);
   }
-
-  SweepOptions zero;
-  zero.repeats = 0;
-  EXPECT_THROW((void)sweep_shards(traces, points, zero), InvalidArgument);
 }
 
 TEST(SweepShards, EmptyInputsYieldEmptyOutcome) {

@@ -579,9 +579,9 @@ TEST(LumosLint, LintTreePublishesScanMetrics) {
   }
   EXPECT_TRUE(saw_files);
   EXPECT_TRUE(saw_findings);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].name, "lint.tree_seconds");
-  EXPECT_EQ(snap.histograms[0].count, 1u);
+  ASSERT_EQ(snap.gauges.size(), 1u);
+  EXPECT_EQ(snap.gauges[0].name, "lint.duration_ms");
+  EXPECT_GE(snap.gauges[0].value, 0.0);
 }
 
 TEST(LumosLint, CleanFixtureReportsNothing) {

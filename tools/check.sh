@@ -4,7 +4,8 @@
 # Runs, in sequence:
 #   release   configure + build + full ctest (includes the lumos_lint and
 #             bench_smoke cases)
-#   sanitize  ASan+UBSan build + `ctest -L sanitize` invariant suite
+#   sanitize  ASan+UBSan build + `ctest -L sanitize` invariant suite,
+#             including the supervised bench drill (bench_runner)
 #   tsan      ThreadSanitizer build + `ctest -L tsan` concurrency suite
 #   failpoints Debug build with -DLUMOS_FAILPOINTS=ON + `ctest -L
 #             failpoints` fault-injection suite (typed-error propagation)
@@ -21,10 +22,12 @@
 #             rows must be exactly the harnesses `bench_runner --list`
 #             prints
 #   bench     bench_runner --smoke --verify: every harness on capped
-#             workloads, JSON self-check + same-seed determinism
+#             workloads, JSON self-check + same-seed determinism of each
+#             whole harness entry (metrics, counters, gauges)
 #   bench:supervised  the bench_supervised_smoke ctest: fault drill of the
 #             crash-isolated fleet (injected crash/hang/garbage, journal
-#             resume, in-process-vs-supervised metric equivalence)
+#             resume, in-process-vs-supervised entry equivalence); the
+#             sanitize stage also runs it under ASan+UBSan
 #   serve:chaos  the ext_serve_chaos drill on its own
 #             (`bench_runner --only ext_serve_chaos`): lumos_serve killed
 #             (SIGKILL) at seeded points mid-stream and SIGTERM'd once,
@@ -32,18 +35,18 @@
 #             last checkpoint and reproduce the uninterrupted report
 #             bit-identically (same-seed determinism via --verify is
 #             covered by the bench:smoke stage, which runs it in-process)
-#   bench:perf  `lumos perf-gate` compares the smoke run's throughput
-#             gauges (sim.jobs_per_sec, stream.events_per_sec) against
-#             the committed BENCH_results.json and fails on a >20%
-#             regression
-#   perfbench:digests  every perfbench workload once for a second: fails
-#             when an output digest or check no longer matches
-#             perfbench/references.json (output drift, no timing gate)
+#   perf:gate  tools/perf_gate.py: every perfbench workload at its
+#             default seed and run_seconds; fails when an output digest
+#             or check no longer matches (perfbench/references.json), when
+#             an end-to-end metric of a BENCHMARK.json workload is missing,
+#             or when one is worse than tools/perf_baseline.json by more
+#             than its BENCHMARK.json bound
 #
 # Continues past failures and prints a single PASS/FAIL summary; exit
 # status is non-zero if any stage failed. Run from the repo root:
 #   ./tools/check.sh [--quick]
-# --quick skips the sanitizer presets (release + lint only).
+# --quick skips the sanitize, tsan and failpoints presets; every other
+# stage, perf:gate included, still runs.
 set -u
 
 cd "$(dirname "$0")/.." || exit 2
@@ -115,18 +118,10 @@ run_stage "bench:supervised" ctest --test-dir build \
 # (DESIGN.md §4g; the harness throws on any divergence).
 run_stage "serve:chaos" ./build/bench/bench_runner --only ext_serve_chaos \
   --smoke --out build/BENCH_chaos.json
-# Throughput gate: the bench:smoke stage above refreshed
-# build/BENCH_check.json; gate its throughput gauges (sim.jobs_per_sec,
-# stream.events_per_sec) against the committed baseline. 20% tolerance
-# absorbs machine noise — the gate exists to catch order-of-magnitude
-# collapses, not jitter.
-run_stage "bench:perf" ./build/tools/lumos perf-gate \
-  --baseline BENCH_results.json --current build/BENCH_check.json \
-  --max-regression 0.20
-# Output drift: perfbench/run.py exits 1 when any workload's digest or
-# check fails; one second per workload keeps this a correctness stage.
-run_stage "perfbench:digests" python3 perfbench/run.py --workload all \
-  --seconds 1
+# The one throughput gate: perfbench's repeated, output-checked runs
+# against the committed baseline, with each metric's tolerance taken from
+# its BENCHMARK.json bound (the benchmark's recorded spread).
+run_stage "perf:gate" python3 tools/perf_gate.py
 
 echo
 echo "================ check.sh summary ================"

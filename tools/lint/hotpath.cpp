@@ -51,7 +51,7 @@ const std::vector<MarkerRule>& hot_rules() {
                  {"cout", "cerr", "clog", "stream"},
                  std::regex(R"(\bstd\s*::\s*(?:cout|cerr|clog)\b|\bstd\s*::\s*[io]?(?:string|f)stream\b|\bstd\s*::\s*basic_[io]?stream\b)"),
                  "stream I/O in a hot path: formatting and flushing stall "
-                 "the event loop — record into obs counters/histograms and "
+                 "the event loop — record into obs counters and "
                  "render after the run"});
     r.push_back({"hot-throw",
                  {"throw"},

@@ -130,10 +130,9 @@ void apply_suppressions(std::string_view rel_path, std::string_view content,
     const std::filesystem::path& root, std::string_view prefix = "");
 
 /// As above, but also publishes the scan cost into `registry`:
-/// `lint.files` / `lint.findings` counters, a `lint.tree_seconds`
-/// histogram sample (obs::ScopedTimer), and a `lint.duration_ms` gauge —
-/// so a full-tree lint shows up in the bench-style JSON next to the
-/// workloads it gates.
+/// `lint.files` / `lint.findings` counters and a `lint.duration_ms` gauge
+/// (steady_clock) — so a full-tree lint shows up in the bench-style JSON
+/// next to the workloads it gates.
 [[nodiscard]] std::vector<Diagnostic> lint_tree(
     const std::filesystem::path& root, std::string_view prefix,
     obs::Registry& registry);

@@ -10,20 +10,14 @@
 //   lumos fit       --swf trace.swf --system Theta [--regen-days D --out f.swf]
 //   lumos predict   --system Philly [--days D] [--max-jobs N]
 //   lumos takeaways [--days D --seed S]
-//   lumos perf-gate --baseline BENCH_results.json --current new.json
-//                   [--max-regression 0.20]
 //
 // Every subcommand works on synthetic workloads out of the box and accepts
 // real traces in SWF (or lumos CSV via --csv).
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
-
-#include "obs/json.hpp"
 
 #include "core/lumos.hpp"
 #include "synth/dag.hpp"
@@ -62,7 +56,6 @@ int usage() {
       "  fit          fit a calibration to a trace (and optionally regen)\n"
       "  predict      runtime-prediction study (use case 1)\n"
       "  takeaways    evaluate the paper's 8 takeaways on a fresh study\n"
-      "  perf-gate    fail when a throughput gauge regresses vs a baseline\n"
       "common options: --system NAME --days D --seed S --swf FILE --csv FILE\n"
       "                --dag-workflows N [--dag-shape chain|forkjoin|layered]\n"
       "                --heavy-tail-prob P [--heavy-tail-mult M]\n"
@@ -268,90 +261,6 @@ int cmd_predict(const Cli& cli) {
   return 0;
 }
 
-// ------------------------------------------------------------ perf-gate --
-
-lumos::obs::Json load_json(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw lumos::InvalidArgument("perf-gate: unreadable: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return lumos::obs::Json::parse(buffer.str());
-}
-
-// Throughput gauges the gate watches, one per engine: the simulator's
-// jobs/s and the streaming ingest's events/s.
-constexpr std::string_view kThroughputGauges[] = {"sim.jobs_per_sec",
-                                                  "stream.events_per_sec"};
-
-// Named throughput gauge for one harness section, or nullopt when absent.
-std::optional<double> throughput_gauge(const lumos::obs::Json& harness,
-                                       std::string_view key) {
-  const auto* gauges = harness.find("gauges");
-  if (!gauges) return std::nullopt;
-  const auto* gauge = gauges->find(key);
-  if (!gauge || !gauge->is_number()) return std::nullopt;
-  return gauge->as_double();
-}
-
-// Compares the kThroughputGauges per harness between two bench_runner
-// JSON documents. Throughput lives in gauges precisely because it is NOT
-// deterministic — so the gate tolerates noise (default 20%) and only
-// fails on a real collapse, the check tools/check.sh runs as bench:perf.
-// Harnesses present only in the baseline, or only in the current run,
-// are reported but do not gate: the gate guards regressions of numbers
-// both runs measured.
-int cmd_perf_gate(const Cli& cli) {
-  const auto baseline_path = cli.get("baseline");
-  const auto current_path = cli.get("current");
-  if (!baseline_path || !current_path) {
-    std::cerr << "usage: lumos perf-gate --baseline A.json --current B.json"
-                 " [--max-regression 0.20]\n";
-    return 2;
-  }
-  const double max_regression = cli.number("max-regression", 0.20);
-  const auto baseline = load_json(*baseline_path);
-  const auto current = load_json(*current_path);
-  const auto* base_harnesses = baseline.find("harnesses");
-  const auto* cur_harnesses = current.find("harnesses");
-  if (!base_harnesses || !cur_harnesses) {
-    std::cerr << "perf-gate: missing top-level \"harnesses\" object\n";
-    return 2;
-  }
-  int gated = 0;
-  int failures = 0;
-  for (const auto& [name, harness] : base_harnesses->entries()) {
-    for (const auto key : kThroughputGauges) {
-      const auto base = throughput_gauge(harness, key);
-      if (!base || *base <= 0.0) continue;
-      const auto* cur_harness = cur_harnesses->find(name);
-      if (!cur_harness) {
-        std::cout << "perf-gate: " << name
-                  << ": not in current run (skipped)\n";
-        continue;
-      }
-      const auto cur = throughput_gauge(*cur_harness, key);
-      if (!cur) {
-        std::cout << "perf-gate: " << name << ": " << key
-                  << " missing in current run (skipped)\n";
-        continue;
-      }
-      ++gated;
-      const double floor = *base * (1.0 - max_regression);
-      const bool ok = *cur >= floor;
-      failures += !ok;
-      std::cout << "perf-gate: " << name << ": " << key << " baseline "
-                << lumos::util::fixed(*base, 0) << "/s, current "
-                << lumos::util::fixed(*cur, 0) << "/s ("
-                << lumos::util::percent(*cur / *base - 1.0) << ") "
-                << (ok ? "ok" : "REGRESSION") << "\n";
-    }
-  }
-  std::cout << "perf-gate: " << gated << " gauge(s) gated, " << failures
-            << " regression(s) beyond "
-            << lumos::util::percent(max_regression) << "\n";
-  return failures == 0 ? 0 : 1;
-}
-
 int cmd_takeaways(const Cli& cli) {
   lumos::core::StudyOptions options;
   options.seed = static_cast<std::uint64_t>(cli.number("seed", 42));
@@ -389,7 +298,6 @@ int main(int argc, char** argv) {
     if (cli.command == "fit") return cmd_fit(cli);
     if (cli.command == "predict") return cmd_predict(cli);
     if (cli.command == "takeaways") return cmd_takeaways(cli);
-    if (cli.command == "perf-gate") return cmd_perf_gate(cli);
     return usage();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
