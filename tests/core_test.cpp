@@ -2,6 +2,14 @@
 // Table II backfill study.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <unistd.h>
+
 #include "core/backfill_study.hpp"
 #include "core/study.hpp"
 #include "core/takeaways.hpp"
@@ -65,6 +73,47 @@ TEST(Study, FullReportContainsEveryFigure) {
         "Fig 8", "Fig 9", "Fig 10", "Fig 11"}) {
     EXPECT_NE(report.find(needle), std::string::npos) << needle;
   }
+}
+
+// 64-bit FNV-1a, chained so several inputs fold into one digest.
+std::uint64_t fnv1a(std::string_view bytes,
+                    std::uint64_t h = 1469598103934665603ULL) {
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(Study, FullReportIsPinned) {
+  // The exact report text and CSV export of a small five-system study,
+  // recorded before full_report/export_csv were changed to compute each
+  // analysis once. Any refactor of the study façade must keep both
+  // digests; an intended output change re-records them here.
+  const CrossSystemStudy study(small_options());
+  EXPECT_EQ(fnv1a(study.full_report()), 0xaf11813b5f316ccfULL);
+
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("lumos_study_pin_" + std::to_string(static_cast<long>(::getpid())));
+  fs::remove_all(dir);
+  study.export_csv(dir.string());
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  std::uint64_t h = fnv1a("");
+  for (const auto& path : files) {
+    std::ifstream in(path, std::ios::binary);
+    const std::string body{std::istreambuf_iterator<char>(in), {}};
+    h = fnv1a(path.filename().string() + '\0', h);
+    h = fnv1a(body + '\0', h);
+  }
+  fs::remove_all(dir);
+  EXPECT_EQ(files.size(), 9u);
+  EXPECT_EQ(h, 0x020da00d638fad7cULL);
 }
 
 TEST(Takeaways, ProducesEightChecks) {
