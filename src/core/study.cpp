@@ -98,40 +98,57 @@ std::vector<analysis::UserStatusResult> CrossSystemStudy::user_statuses()
       });
 }
 
+// A result shared by two figures lives in its own block, so it is freed
+// before the next analysis runs: holding them all would raise peak memory.
 std::string CrossSystemStudy::full_report() const {
   std::ostringstream os;
-  os << "=== Fig 1(a/c): job geometries ===\n"
-     << analysis::render_geometry(geometries()) << '\n';
-  os << "=== Fig 1(a): runtime CDF ===\n"
-     << analysis::render_runtime_cdf(geometries()) << '\n';
+  {
+    const auto geo = geometries();
+    os << "=== Fig 1(a/c): job geometries ===\n"
+       << analysis::render_geometry(geo) << '\n';
+    os << "=== Fig 1(a): runtime CDF ===\n"
+       << analysis::render_runtime_cdf(geo) << '\n';
+  }
   os << "=== Fig 1(b): arrival patterns ===\n"
      << analysis::render_arrivals(arrivals()) << '\n';
   os << "=== Fig 2: core-hour domination ===\n"
      << analysis::render_domination(dominations()) << '\n';
   os << "=== Fig 3: system utilization ===\n"
      << analysis::render_utilization(utilizations()) << '\n';
-  os << "=== Fig 4: waiting / turnaround ===\n"
-     << analysis::render_waiting(waitings()) << '\n';
-  os << "=== Fig 5: wait vs geometry ===\n"
-     << analysis::render_wait_by_geometry(waitings()) << '\n';
-  os << "=== Fig 6: status distribution ===\n"
-     << analysis::render_status_distribution(failures()) << '\n';
-  os << "=== Fig 7: failure vs geometry ===\n"
-     << analysis::render_failure_by_geometry(failures()) << '\n';
+  {
+    const auto wait = waitings();
+    os << "=== Fig 4: waiting / turnaround ===\n"
+       << analysis::render_waiting(wait) << '\n';
+    os << "=== Fig 5: wait vs geometry ===\n"
+       << analysis::render_wait_by_geometry(wait) << '\n';
+  }
+  {
+    const auto fail = failures();
+    os << "=== Fig 6: status distribution ===\n"
+       << analysis::render_status_distribution(fail) << '\n';
+    os << "=== Fig 7: failure vs geometry ===\n"
+       << analysis::render_failure_by_geometry(fail) << '\n';
+  }
   os << "=== Fig 8: user repetition ===\n"
      << analysis::render_repetition(repetitions()) << '\n';
-  os << "=== Fig 9: queue length vs requested size ===\n"
-     << analysis::render_queue_behavior_size(queue_behaviors()) << '\n';
-  os << "=== Fig 10: queue length vs runtime ===\n"
-     << analysis::render_queue_behavior_runtime(queue_behaviors()) << '\n';
+  {
+    const auto queue = queue_behaviors();
+    os << "=== Fig 9: queue length vs requested size ===\n"
+       << analysis::render_queue_behavior_size(queue) << '\n';
+    os << "=== Fig 10: queue length vs runtime ===\n"
+       << analysis::render_queue_behavior_runtime(queue) << '\n';
+  }
   os << "=== Fig 11: per-user runtime by status ===\n"
      << analysis::render_user_status(user_statuses()) << '\n';
   return os.str();
 }
 
 void CrossSystemStudy::export_csv(const std::string& dir) const {
-  analysis::export_runtime_cdf(dir, geometries());
-  analysis::export_cores_cdf(dir, geometries());
+  {
+    const auto geo = geometries();
+    analysis::export_runtime_cdf(dir, geo);
+    analysis::export_cores_cdf(dir, geo);
+  }
   analysis::export_hourly(dir, arrivals());
   analysis::export_domination(dir, dominations());
   analysis::export_utilization(dir, utilizations());

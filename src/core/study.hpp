@@ -55,11 +55,15 @@ class CrossSystemStudy {
       const;
   [[nodiscard]] std::vector<analysis::UserStatusResult> user_statuses() const;
 
-  /// Renders every figure's comparison table into one report.
+  /// Renders every figure's comparison table into one report. Each
+  /// analysis above runs once; figures that share one (Fig 1/1(a), 4/5,
+  /// 6/7, 9/10) render from the same result, and no two results are held
+  /// at once.
   [[nodiscard]] std::string full_report() const;
 
   /// Writes every figure's data series as CSV files into `dir`
-  /// (analysis/export.hpp documents the file set).
+  /// (analysis/export.hpp documents the file set), running each analysis
+  /// once.
   void export_csv(const std::string& dir) const;
 
  private:

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <utility>
 
 #include "util/failpoint.hpp"
 #include "util/error.hpp"
@@ -37,6 +38,14 @@ std::ostream& operator<<(std::ostream& out, Exact e) {
   return out.write(buf, res.ptr - buf);
 }
 
+constexpr std::size_t kSwfFields = 18;
+
+/// The six separators std::isspace accepts in the "C" locale.
+constexpr bool is_swf_space(char c) noexcept {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
 long long status_to_swf(JobStatus s) noexcept {
   switch (s) {
     case JobStatus::Passed: return 1;
@@ -50,27 +59,43 @@ long long status_to_swf(JobStatus s) noexcept {
 
 SwfRow parse_swf_row(std::string_view trimmed, ResourceKind kind,
                      const ParseOptions& opts, std::size_t lineno) {
-  const auto fields = util::split_whitespace(trimmed);
-  if (fields.size() < 18) {
+  // Tokenize in place: the first 18 fields as views into the line, no
+  // allocation. Fields past the 18th are never looked at.
+  std::string_view fields[kSwfFields];
+  std::size_t count = 0;
+  const char* p = trimmed.data();
+  const char* const end = p + trimmed.size();
+  while (count < kSwfFields) {
+    while (p != end && is_swf_space(*p)) ++p;
+    if (p == end) break;
+    const char* const start = p;
+    while (p != end && !is_swf_space(*p)) ++p;
+    fields[count++] =
+        std::string_view(start, static_cast<std::size_t>(p - start));
+  }
+  if (count < kSwfFields) {
     throw ParseError(
         util::format("SWF %s: expected 18 fields, got %zu",
-                     parse_context(opts, lineno).c_str(), fields.size()));
+                     parse_context(opts, lineno).c_str(), count));
   }
   auto need_num = [&](std::size_t i) -> double {
-    const auto v = util::parse_double(fields[i]);
-    if (!v) {
+    const char* const first = fields[i].data();
+    const char* const last = first + fields[i].size();
+    double v = 0.0;
+    const auto [ptr, ec] = std::from_chars(first, last, v);
+    if (ec != std::errc{} || ptr != last) {
       throw ParseError(util::format("SWF %s field %zu: not a number",
                                     parse_context(opts, lineno).c_str(),
                                     i + 1));
     }
     // std::from_chars accepts "nan"/"inf"; a non-finite field would poison
     // every downstream sketch and moment, so reject it as malformed.
-    if (!std::isfinite(*v)) {
+    if (!std::isfinite(v)) {
       throw ParseError(util::format("SWF %s field %zu: non-finite value",
                                     parse_context(opts, lineno).c_str(),
                                     i + 1));
     }
-    return *v;
+    return v;
   };
   // Clamped float->int conversions: a value outside the target range is a
   // malformed row in practice, but casting it directly is UB — and the
@@ -126,13 +151,13 @@ Trace read_swf(std::istream& in, SystemSpec spec, const ParseOptions& opts,
     // site is a library fault, not a malformed row, and must propagate.
     LUMOS_FAILPOINT("trace.swf.row");
     try {
-      const SwfRow row =
+      SwfRow row =
           parse_swf_row(trimmed, trace.spec().primary_kind, opts, lineno);
       if (row.unknown_runtime) {
         ++dropped;
         continue;
       }
-      trace.add(row.job);
+      trace.add(std::move(row.job));
     } catch (const ParseError&) {
       if (bad_rows >= opts.bad_row_budget) throw;
       ++bad_rows;

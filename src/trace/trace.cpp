@@ -10,10 +10,14 @@ Trace::Trace(SystemSpec spec, std::vector<Job> jobs)
     : spec_(std::move(spec)), jobs_(std::move(jobs)) {}
 
 void Trace::sort_by_submit() {
-  std::stable_sort(jobs_.begin(), jobs_.end(),
-                   [](const Job& a, const Job& b) {
-                     return a.submit_time < b.submit_time;
-                   });
+  // A stable sort of already-sorted input is the identity, so skip it;
+  // readers of submit-ordered files (every SWF the writer emits) hit this.
+  if (!is_sorted_by_submit()) {
+    std::stable_sort(jobs_.begin(), jobs_.end(),
+                     [](const Job& a, const Job& b) {
+                       return a.submit_time < b.submit_time;
+                     });
+  }
   // Renumbering invalidates precedence edges expressed in the old id
   // space; remap them through old-id -> new-id so workflow DAGs survive
   // the sort. Unresolvable parents are left untouched for

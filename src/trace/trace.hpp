@@ -3,6 +3,7 @@
 
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/job.hpp"
@@ -27,7 +28,7 @@ class Trace {
   }
 
   /// Appends one job (call sort_by_submit() when done if order is unknown).
-  void add(Job job) { jobs_.push_back(job); }
+  void add(Job job) { jobs_.push_back(std::move(job)); }
   void reserve(std::size_t n) { jobs_.reserve(n); }
 
   /// Stable-sorts jobs by submit time and renumbers ids 0..n-1.

@@ -12,11 +12,6 @@ namespace lumos::util {
 [[nodiscard]] std::vector<std::string_view> split(std::string_view s,
                                                   char delim);
 
-/// Splits on arbitrary runs of whitespace, dropping empty fields
-/// (SWF semantics).
-[[nodiscard]] std::vector<std::string_view> split_whitespace(
-    std::string_view s);
-
 /// Strips leading and trailing ASCII whitespace.
 [[nodiscard]] std::string_view trim(std::string_view s) noexcept;
 

@@ -1,9 +1,16 @@
 // Unit tests for the trace model, parsers and validation.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "trace/csv_formats.hpp"
 #include "trace/swf.hpp"
@@ -11,6 +18,7 @@
 #include "trace/trace.hpp"
 #include "trace/validate.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/string_util.hpp"
 
 namespace lumos::trace {
@@ -141,6 +149,51 @@ TEST(Trace, SortAssignsIds) {
   EXPECT_TRUE(t.is_sorted_by_submit());
   EXPECT_DOUBLE_EQ(t[0].submit_time, 10.0);
   EXPECT_EQ(t[2].id, 2u);
+}
+
+TEST(Trace, SortedInputIsRenumberedAndParentsRemapped) {
+  // Already in submit order (ties included) with 1-based ids, as an SWF
+  // file carries them: the order stays, ids become 0..n-1 and every
+  // parent edge follows its job to the new id.
+  Trace t(mira_spec());
+  const double submits[] = {0, 10, 10, 20, 30};
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    Job j = make_job(submits[i], 0, 1, 1, JobStatus::Passed,
+                     static_cast<std::uint32_t>(i));
+    j.id = i + 1;
+    if (i == 2) j.parents = {1, 2};
+    if (i == 4) j.parents = {3, 4};
+    t.add(j);
+  }
+  ASSERT_TRUE(t.is_sorted_by_submit());
+  t.sort_by_submit();
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    EXPECT_EQ(t[i].id, i);
+    EXPECT_EQ(t[i].user, i);  // no job moved
+  }
+  EXPECT_EQ(t[2].parents, (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(t[4].parents, (std::vector<std::uint64_t>{2, 3}));
+  EXPECT_TRUE(t[0].parents.empty());
+}
+
+TEST(Trace, UnsortedInputKeepsTheOrderOfEqualSubmits) {
+  Trace t(mira_spec());
+  const double submits[] = {5, 0, 5, 0, 5};
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    Job j = make_job(submits[i], 0, 1, 1, JobStatus::Passed,
+                     static_cast<std::uint32_t>(i));
+    j.id = i + 1;
+    if (i == 2) j.parents = {2};  // the job with user 1
+    t.add(j);
+  }
+  ASSERT_FALSE(t.is_sorted_by_submit());
+  t.sort_by_submit();
+  const std::uint32_t users[] = {1, 3, 0, 2, 4};
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    EXPECT_EQ(t[i].id, i);
+    EXPECT_EQ(t[i].user, users[i]) << "position " << i;
+  }
+  EXPECT_EQ(t[3].parents, (std::vector<std::uint64_t>{0}));
 }
 
 TEST(Trace, WindowFiltersAndRebases) {
@@ -644,6 +697,246 @@ TEST(SwfFuzz, NegativeRuntimeIsUnknownNotMalformed) {
       "1 0 5 -1 4 -1 -1 4 200 -1 1 3 -1 -1 -1 -1 -1 -1",
       ResourceKind::Cpu, {}, 1);
   EXPECT_TRUE(row.unknown_runtime);
+}
+
+// ---- differential decoder fuzz -------------------------------------------
+//
+// parse_swf_row decodes fields in place. The reference below is the
+// allocating decoder it replaced (split_whitespace + parse_double), kept
+// as it was so seeded mutations of the corpus can diff the two: the same
+// Job bit for bit, or the same ParseError text.
+
+namespace reference {
+
+std::vector<std::string_view> split_whitespace(std::string_view s) {
+  std::vector<std::string_view> out;
+  std::size_t i = 0;
+  while (i < s.size()) {
+    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+    std::size_t start = i;
+    while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+    if (i > start) out.push_back(s.substr(start, i - start));
+  }
+  return out;
+}
+
+std::optional<double> parse_double(std::string_view s) noexcept {
+  s = util::trim(s);
+  if (s.empty()) return std::nullopt;
+  double value = 0.0;
+  const auto* first = s.data();
+  const auto* last = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(first, last, value);
+  if (ec != std::errc{} || ptr != last) return std::nullopt;
+  return value;
+}
+
+JobStatus status_from_swf(long long code) noexcept {
+  switch (code) {
+    case 1: return JobStatus::Passed;
+    case 5: return JobStatus::Killed;
+    default: return JobStatus::Failed;
+  }
+}
+
+SwfRow parse_swf_row(std::string_view trimmed, ResourceKind kind,
+                     const ParseOptions& opts, std::size_t lineno) {
+  const auto fields = split_whitespace(trimmed);
+  if (fields.size() < 18) {
+    throw ParseError(
+        util::format("SWF %s: expected 18 fields, got %zu",
+                     parse_context(opts, lineno).c_str(), fields.size()));
+  }
+  auto need_num = [&](std::size_t i) -> double {
+    const auto v = parse_double(fields[i]);
+    if (!v) {
+      throw ParseError(util::format("SWF %s field %zu: not a number",
+                                    parse_context(opts, lineno).c_str(),
+                                    i + 1));
+    }
+    if (!std::isfinite(*v)) {
+      throw ParseError(util::format("SWF %s field %zu: non-finite value",
+                                    parse_context(opts, lineno).c_str(),
+                                    i + 1));
+    }
+    return *v;
+  };
+  const auto to_u32 = [](double v) -> std::uint32_t {
+    if (!(v > 0.0)) return 0;
+    if (v >= 4294967295.0) return UINT32_MAX;
+    return static_cast<std::uint32_t>(v);
+  };
+  const auto to_u64 = [](double v) -> std::uint64_t {
+    if (!(v > 0.0)) return 0;
+    if (v >= 18446744073709549568.0) return UINT64_MAX;
+    return static_cast<std::uint64_t>(v);
+  };
+  SwfRow row;
+  Job& j = row.job;
+  j.id = to_u64(need_num(0));
+  j.submit_time = need_num(1);
+  const double wait = need_num(2);
+  j.wait_time = wait < 0.0 ? 0.0 : wait;
+  j.run_time = need_num(3);
+  if (j.run_time < 0.0) {
+    row.unknown_runtime = true;
+    return row;
+  }
+  const double alloc = need_num(4);
+  const double req_procs = need_num(7);
+  const double procs = alloc > 0.0 ? alloc : req_procs;
+  j.cores = procs > 0.0 ? std::max<std::uint32_t>(to_u32(procs), 1) : 1;
+  j.nodes = j.cores;
+  j.requested_time = need_num(8);
+  if (j.requested_time <= 0.0) j.requested_time = kNoValue;
+  const double status = need_num(10);
+  j.status = status_from_swf(
+      status >= 0.0 && status <= 5.0 ? static_cast<long long>(status) : -1);
+  j.user = to_u32(need_num(11));
+  j.kind = kind;
+  return row;
+}
+
+}  // namespace reference
+
+/// A decode as comparable text: every Job field (doubles by their bits),
+/// or the ParseError message.
+std::string decode_outcome(bool use_reference, std::string_view row,
+                           const ParseOptions& opts, std::size_t lineno) {
+  try {
+    const SwfRow r =
+        use_reference
+            ? reference::parse_swf_row(row, ResourceKind::Gpu, opts, lineno)
+            : parse_swf_row(row, ResourceKind::Gpu, opts, lineno);
+    const Job& j = r.job;
+    std::ostringstream os;
+    os << "ok unknown=" << r.unknown_runtime << " id=" << j.id
+       << " user=" << j.user
+       << " submit=" << std::bit_cast<std::uint64_t>(j.submit_time)
+       << " wait=" << std::bit_cast<std::uint64_t>(j.wait_time)
+       << " run=" << std::bit_cast<std::uint64_t>(j.run_time)
+       << " req=" << std::bit_cast<std::uint64_t>(j.requested_time)
+       << " nodes=" << j.nodes << " cores=" << j.cores
+       << " kind=" << static_cast<int>(j.kind)
+       << " status=" << static_cast<int>(j.status)
+       << " vc=" << j.virtual_cluster
+       << " hedge=" << std::bit_cast<std::uint64_t>(j.hedge_run_time)
+       << " parents=" << j.parents.size();
+    return os.str();
+  } catch (const ParseError& e) {
+    return std::string("error ") + e.what();
+  }
+}
+
+std::vector<std::string> split_on_space(const std::string& row) {
+  std::vector<std::string> out;
+  std::istringstream in(row);
+  for (std::string f; in >> f;) out.push_back(f);
+  return out;
+}
+
+/// One seeded mutation of `row`: separators, extra or missing fields,
+/// special numeric spellings, truncation and stray bytes.
+std::string mutate(const std::string& row, util::Rng& rng) {
+  static const char* const kSeparators[] = {" ", "\t", "\v", "\f", "\r",
+                                            "\n", " \v ", "\t\f\r"};
+  static const char* const kTokens[] = {
+      "nan",  "-nan", "nan(1)", "inf",   "-inf", "infinity", "1e400",
+      "-1e400", "1e-400", "-0",  "+1",   "+0",   "0x10",     "1.",
+      ".5",   "1e",   "--1",    "1e+3",  "4294967296",        "1e300",
+      "7",    "3.5",  "-1",     "0",     "\x01", "1,2",      "00012"};
+  auto fields = split_on_space(row);
+  const int ops = 1 + static_cast<int>(rng.uniform_index(3));
+  for (int op = 0; op < ops; ++op) {
+    const std::size_t n = fields.size();
+    switch (rng.uniform_index(5)) {
+      case 0:  // a special token in place of a field
+        if (n > 0) {
+          fields[rng.uniform_index(n)] =
+              kTokens[rng.uniform_index(std::size(kTokens))];
+        }
+        break;
+      case 1:  // more than 18 fields
+        for (std::uint64_t k = 1 + rng.uniform_index(4); k > 0; --k) {
+          fields.push_back(kTokens[rng.uniform_index(std::size(kTokens))]);
+        }
+        break;
+      case 2:  // a field fewer
+        if (n > 0) {
+          fields.erase(fields.begin() +
+                       static_cast<std::ptrdiff_t>(rng.uniform_index(n)));
+        }
+        break;
+      case 3:  // a field repeated
+        if (n > 0) {
+          const std::size_t i = rng.uniform_index(n);
+          fields.insert(fields.begin() + static_cast<std::ptrdiff_t>(i),
+                        fields[i]);
+        }
+        break;
+      default:  // a field with a stray sign or byte in it
+        if (n > 0) {
+          std::string& f = fields[rng.uniform_index(n)];
+          const char stray[] = {'+', '-', '.', 'e', 'x', '\x7f'};
+          f.insert(rng.uniform_index(f.size() + 1), 1,
+                   stray[rng.uniform_index(std::size(stray))]);
+        }
+        break;
+    }
+  }
+  std::string out;
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (i > 0 || rng.bernoulli(0.2)) {
+      out += kSeparators[rng.uniform_index(std::size(kSeparators))];
+    }
+    out += fields[i];
+  }
+  if (rng.bernoulli(0.2)) {
+    out += kSeparators[rng.uniform_index(std::size(kSeparators))];
+  }
+  if (rng.bernoulli(0.15)) out.resize(rng.uniform_index(out.size() + 1));
+  return out;
+}
+
+TEST(SwfFuzz, InPlaceDecoderMatchesTheAllocatingDecoderOnMutations) {
+  std::vector<std::string> corpus(std::begin(kMalformedSwfRows),
+                                  std::end(kMalformedSwfRows));
+  corpus.insert(corpus.end(), {
+      "1 0 5 100 4 -1 -1 4 200 -1 1 3 -1 -1 -1 -1 -1 -1",
+      "2 12.5 -3 3.25e2 0 -1 -1 16 0 -1 5 7 -1 -1 -1 -1 -1 -1",
+      "3 1e9 0 0 -1 -1 -1 0 -1 -1 0 4294967295 -1 -1 -1 2 -1 -1",
+      "1e300 0 5 100 4294967296 -1 -1 1 200 -1 1 99999999999 -1 -1 -1 -1 "
+      "-1 -1",
+      "1 0 5 -1 4 -1 -1 4 200 -1 1 3 -1 -1 -1 -1 -1 -1",
+  });
+  ParseOptions opts;
+  opts.origin = "fuzz.swf";
+  util::Rng rng(20240425);
+  std::size_t accepted = 0;
+  std::size_t field_count = 0;
+  std::size_t not_a_number = 0;
+  std::size_t non_finite = 0;
+  constexpr std::size_t kCases = 20000;
+  for (std::size_t c = 0; c < kCases; ++c) {
+    const std::string row = mutate(corpus[c % corpus.size()], rng);
+    // As the readers call it (trimmed, blanks filtered) and untrimmed.
+    for (const std::string_view input : {util::trim(row),
+                                         std::string_view(row)}) {
+      if (input.empty()) continue;
+      const std::string want = decode_outcome(true, input, opts, c + 1);
+      const std::string got = decode_outcome(false, input, opts, c + 1);
+      ASSERT_EQ(got, want) << "case " << c << " row: " << row;
+      accepted += want.rfind("ok", 0) == 0;
+      field_count += want.find("expected 18 fields") != std::string::npos;
+      not_a_number += want.find("not a number") != std::string::npos;
+      non_finite += want.find("non-finite") != std::string::npos;
+    }
+  }
+  // Every outcome class is reached, so the diff covers each path.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(field_count, 100u);
+  EXPECT_GT(not_a_number, 100u);
+  EXPECT_GT(non_finite, 100u);
 }
 
 }  // namespace

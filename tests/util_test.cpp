@@ -174,13 +174,6 @@ TEST(StringUtil, SplitKeepsEmptyFields) {
   EXPECT_EQ(parts[3], "");
 }
 
-TEST(StringUtil, SplitWhitespaceDropsRuns) {
-  const auto parts = split_whitespace("  a \t b\n c  ");
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "c");
-}
-
 TEST(StringUtil, Trim) {
   EXPECT_EQ(trim("  x  "), "x");
   EXPECT_EQ(trim(""), "");
