@@ -1,7 +1,6 @@
 // Shared plumbing for the figure/table bench harnesses: checked parsing of
 // the harness flags, study construction, and the exit-code ladder. The
-// harness flags, parsed here for bench_runner (and forwarded verbatim to
-// its --child processes), are:
+// harness flags, parsed here for bench_runner, are:
 //   --days D          override every system's synthesis window (default:
 //                     each system's calibrated window — 120 d, 14 d Helios)
 //   --seed S          RNG seed (default 42)
@@ -13,9 +12,8 @@
 // std::ostream&)`, declared in harnesses.hpp and compiled once into
 // bench_runner, the only bench program.
 //
-// All bench processes exit with the unified codes below (0 ok, 2 usage,
-// 3 runtime error, 4 injected fault) and ignore SIGPIPE, so the
-// supervisor (bench_runner --supervised) can classify every ending.
+// bench_runner exits with the unified codes below (0 ok, 1 check failed,
+// 2 usage, 3 runtime error, 4 injected fault) and ignores SIGPIPE.
 #pragma once
 
 #include <charconv>
@@ -34,10 +32,7 @@
 
 namespace lumos::bench {
 
-// Unified bench process exit codes. bench_runner (and its --child mode)
-// maps errors onto these,
-// and the supervisor maps them back onto journal statuses — notably
-// kExitUsage is never retried (a malformed command line is not transient).
+// Unified bench process exit codes; bench_runner maps errors onto these.
 inline constexpr int kExitOk = 0;
 inline constexpr int kExitCheckFailed = 1;  ///< bench_runner: harness failed
 inline constexpr int kExitUsage = 2;        ///< bad flags / unknown names

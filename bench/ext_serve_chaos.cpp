@@ -72,8 +72,7 @@ std::string serve_binary() {
 }
 
 /// fork/exec the daemon with stdout+stderr sent to `log_path`; returns
-/// the pid. The harness needs an *asynchronous* child (poll, then kill),
-/// which is why this does not go through supervise::run_child.
+/// the pid, so the harness can poll the child and kill it mid-stream.
 pid_t spawn_serve(const std::vector<std::string>& args,
                   const std::string& log_path) {
   std::vector<char*> argv;

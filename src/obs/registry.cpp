@@ -40,12 +40,6 @@ Snapshot Registry::snapshot() const {
   return snap;  // std::map iteration is already name-sorted
 }
 
-void Registry::reset() {
-  util::ScopedLock lock(mutex_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-}
-
 void Registry::clear() {
   util::ScopedLock lock(mutex_);
   counters_.clear();

@@ -11,9 +11,9 @@
 //             perfbench/ is the one place that measures time.
 //
 // Thread-safety contract: instrument handles returned by the registry are
-// valid for the registry's lifetime and individually thread-safe (all
+// valid until clear() and individually thread-safe (all
 // mutation is lock-free atomics). Registry lookup/creation, snapshot(),
-// and reset() serialise on an internal mutex (annotated for Clang's
+// clear() and merge() serialise on an internal mutex (annotated for Clang's
 // -Wthread-safety via util/annotations.hpp). snapshot() while writers are
 // active is safe but yields a momentary view; the bench runner snapshots
 // only between harnesses.
@@ -43,8 +43,6 @@ class Counter {
   }
 
  private:
-  friend class Registry;
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
   std::atomic<std::uint64_t> value_{0};
 };
 
@@ -57,8 +55,6 @@ class Gauge {
   }
 
  private:
-  friend class Registry;
-  void reset() noexcept { value_.store(0.0, std::memory_order_relaxed); }
   std::atomic<double> value_{0.0};
 };
 
@@ -80,9 +76,6 @@ struct GaugeSample {
 struct Snapshot {
   std::vector<CounterSample> counters;
   std::vector<GaugeSample> gauges;
-  [[nodiscard]] bool empty() const noexcept {
-    return counters.empty() && gauges.empty();
-  }
 };
 
 // ------------------------------------------------------------- registry --
@@ -94,19 +87,13 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   /// Finds or creates the named instrument. The returned reference stays
-  /// valid (and addresses stable) for the registry's lifetime, including
-  /// across reset(). Hot paths should hold the reference, not re-look-up.
+  /// valid (and addresses stable) until clear(). Hot paths should hold the
+  /// reference, not re-look-up.
   [[nodiscard]] Counter& counter(std::string_view name) LUMOS_EXCLUDES(mutex_);
   [[nodiscard]] Gauge& gauge(std::string_view name) LUMOS_EXCLUDES(mutex_);
 
   /// Copies every instrument's current value, sorted by name.
   [[nodiscard]] Snapshot snapshot() const LUMOS_EXCLUDES(mutex_);
-
-  /// Zeroes every instrument (names and handles survive). Note that a
-  /// zeroed instrument still appears in snapshots: a consumer that needs
-  /// sections to contain only instruments actually touched since the
-  /// boundary must use clear() instead.
-  void reset() LUMOS_EXCLUDES(mutex_);
 
   /// Removes every instrument — names, values, AND handles. Any
   /// previously returned Counter/Gauge reference is dangling

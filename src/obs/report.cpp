@@ -24,18 +24,4 @@ Json Report::to_json() const {
   return entry;
 }
 
-Report Report::from_json(std::string harness, const Json& entry) {
-  Report report;
-  report.harness = std::move(harness);
-  if (const Json* figure = entry.find("figure")) {
-    report.figure = figure->as_string();
-  }
-  if (const Json* metrics = entry.find("metrics")) {
-    for (const auto& [key, value] : metrics->entries()) {
-      report.metrics[key] = value.as_double();
-    }
-  }
-  return report;
-}
-
 }  // namespace lumos::obs

@@ -37,14 +37,6 @@ struct Report {
 
   /// The per-harness JSON entry: {figure, metrics, counters, gauges}.
   [[nodiscard]] Json to_json() const;
-
-  /// Rebuilds the domain fields (figure, metrics) from a per-harness
-  /// JSON entry — the inverse of to_json() for what the supervised bench
-  /// runner validates. The observability snapshot is NOT reconstructed
-  /// (the supervisor folds the child's JSON in verbatim). Throws
-  /// lumos::InvalidArgument on kind mismatches.
-  [[nodiscard]] static Report from_json(std::string harness,
-                                        const Json& entry);
 };
 
 }  // namespace lumos::obs

@@ -25,8 +25,8 @@
 // (util/signal_util.hpp, no SA_RESTART) that the loop checks every read;
 // it then writes a final checkpoint + report and returns normally with
 // `shutdown_signal` recording the cause. The flag is honoured at chunk
-// granularity — the hard deadline backstop is the supervisor's
-// SIGTERM -> SIGKILL escalation (supervise::Options::kill_after).
+// granularity; a caller that needs a hard deadline follows SIGTERM with
+// SIGKILL, which the checkpoints survive.
 //
 // Report document shape (see DESIGN.md "Streaming mode"):
 //   {
@@ -40,8 +40,8 @@
 //                     stream.checkpoint_fallbacks,
 //                     stream.last_event_age_s, stream.checkpoint_age_s>
 //   }
-// The per-harness entry round-trips through obs::Report::from_json, so
-// downstream tooling written against BENCH_results.json entries works on
+// The "lumos_serve" value has the shape of a BENCH_results.json harness
+// entry, so downstream tooling written against those entries works on
 // streaming reports unchanged. The deterministic `metrics` map is
 // unchanged by the robustness work — a fault-free run publishes exactly
 // the same metrics as before checkpointing existed.

@@ -24,9 +24,9 @@
 // precisely so a blocking read returns and the loop can notice the flag.
 //
 // RetryingSource decorates any source with deterministic capped-exponential
-// retry (util::backoff_delay_seconds — the same schedule supervise uses)
-// for *transient* errno failures (SourceError). The sleep is injectable so
-// tests assert the exact schedule without waiting. Typed non-errno errors
+// retry (util::backoff_delay_seconds) for *transient* errno failures
+// (SourceError). The sleep is injectable so tests assert the exact
+// schedule without waiting. Typed non-errno errors
 // — fault::InjectedFault from the stream.source.* failpoints in particular
 // — are never retried and propagate to the caller.
 #pragma once

@@ -1,11 +1,9 @@
 // Deterministic capped exponential backoff — the one retry schedule.
 //
-// Both the bench supervisor (supervise::run_supervised, retrying whole
-// child processes) and the streaming event sources (stream::EventSource,
-// retrying transient open/read failures) pace retries with the same
-// schedule: base * 2^(retry-1), capped. Keeping the arithmetic here means
-// the two layers cannot drift apart, and tests can assert a schedule
-// without sleeping (both layers take an injectable sleep hook).
+// The streaming event sources (stream::RetryingSource, retrying transient
+// open/read failures) pace retries with this schedule: base * 2^(retry-1),
+// capped. It is a pure function, so tests can assert a schedule without
+// sleeping (the source takes an injectable sleep hook).
 #pragma once
 
 #include <algorithm>

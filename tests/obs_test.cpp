@@ -1,15 +1,21 @@
 // Tests for lumos::obs: instrument semantics, registry identity and
-// reset, concurrent increments (run under the tsan preset), and the JSON
-// model — golden strings, round-trips, parse errors, snapshot export.
+// clear, concurrent increments (run under the tsan preset), the JSON
+// model — golden strings, round-trips, parse errors, snapshot export —
+// and atomic JSON writes, including a writer SIGKILLed mid-write.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
+#include <csignal>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -71,29 +77,16 @@ TEST(Registry, SnapshotIsNameSortedAndSkipsNothing) {
   EXPECT_EQ(snap.gauges[0].value, 7.0);
 }
 
-TEST(Registry, ResetZeroesButKeepsHandles) {
-  Registry reg;
-  Counter& c = reg.counter("events");
-  c.add(5);
-  reg.gauge("depth").set(2.0);
-  reg.reset();
-  EXPECT_EQ(c.value(), 0u);  // same handle, zeroed
-  const Snapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);  // name survives reset
-  EXPECT_EQ(snap.counters[0].value, 0u);
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_EQ(snap.gauges[0].value, 0.0);
-}
-
 TEST(Registry, ClearRemovesInstrumentsEntirely) {
-  // reset() keeps zero-valued ghosts in snapshots (the bug behind the
-  // stale `sim.events: 0` sections in BENCH_results.json); clear() is the
-  // section boundary that actually empties the registry.
+  // Zeroing alone would keep zero-valued ghosts in snapshots (the bug
+  // behind the stale `sim.events: 0` sections in BENCH_results.json);
+  // clear() is the section boundary that actually empties the registry.
   Registry reg;
   reg.counter("events").add(5);
   reg.gauge("depth").set(2.0);
   reg.clear();
-  EXPECT_TRUE(reg.snapshot().empty());
+  const Snapshot cleared = reg.snapshot();
+  EXPECT_TRUE(cleared.counters.empty() && cleared.gauges.empty());
   // Names are re-creatable afterwards, starting from scratch.
   reg.counter("events").add(1);
   const Snapshot snap = reg.snapshot();
@@ -250,20 +243,6 @@ TEST(ReportJson, DomainMetricsSeparateFromObservability) {
   EXPECT_EQ(j.dump(), report.to_json().dump());
 }
 
-TEST(ReportJson, FromJsonRoundTripsDomainMetrics) {
-  Report report;
-  report.harness = "fig4_waiting";
-  report.figure = "Figure 4";
-  report.set("median_wait_s.Mira", 100.0);
-  report.set("median_wait_s.Intrepid", 0.1234567890123456789);
-  const Report restored = Report::from_json("fig4_waiting", report.to_json());
-  EXPECT_EQ(restored.harness, "fig4_waiting");
-  EXPECT_EQ(restored.figure, "Figure 4");
-  // Bit-exact metric recovery is what the supervised runner's
-  // in-process-vs-child equivalence guarantee rests on.
-  EXPECT_EQ(restored.metrics, report.metrics);
-}
-
 // ------------------------------------------------------- atomic writing --
 
 TEST(AtomicJson, WritesParsableFileAndCleansUpTemp) {
@@ -321,6 +300,67 @@ TEST(AtomicJson, DashWritesToStdout) {
   write_json_atomic(doc, "-");
   const std::string captured = testing::internal::GetCapturedStdout();
   EXPECT_EQ(Json::parse(captured).find("k")->as_int(), 1);
+}
+
+TEST(AtomicWrite, SurvivesSigkillAtAnArbitraryInstant) {
+  namespace fs = std::filesystem;
+  const fs::path path =
+      fs::temp_directory_path() /
+      ("lumos_obs_atomic_kill_" +
+       std::to_string(static_cast<long>(::getpid())) + ".json");
+  fs::remove(path);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // The child rewrites the file as fast as it can until it is killed;
+    // it must never return into the test runner.
+    try {
+      for (std::int64_t i = 0;; ++i) {
+        Json doc = Json::object();
+        doc["iteration"] = i;
+        doc["payload"] = std::string(4096, 'p');
+        write_json_atomic(doc, path.string());
+      }
+    } catch (...) {
+      _exit(1);
+    }
+  }
+  const auto read_target = [&] {
+    std::ifstream in(path);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return Json::parse(buf.str());
+  };
+  // Let at least one write land. Then, while the writer runs, every read
+  // must see a complete document; kill it somewhere mid-loop.
+  for (int i = 0; i < 1000 && !fs::exists(path); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  int torn_reads = 0;
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+  while (std::chrono::steady_clock::now() < until) {
+    try {
+      (void)read_target();
+    } catch (const Error&) {
+      ++torn_reads;
+    }
+  }
+  ::kill(pid, SIGKILL);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+      << "the writer stopped before it was killed";
+  EXPECT_EQ(torn_reads, 0);
+  // Whatever instant the kill landed, the target is a complete document.
+  const Json doc = read_target();
+  ASSERT_NE(doc.find("iteration"), nullptr);
+  EXPECT_GE(doc.find("iteration")->as_int(), 0);
+  // Remove the target and any temp file the killed writer left behind.
+  for (const auto& entry : fs::directory_iterator(path.parent_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(path.filename().string(), 0) == 0) fs::remove(entry.path());
+  }
 }
 
 }  // namespace

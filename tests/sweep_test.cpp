@@ -112,7 +112,8 @@ TEST(SweepShards, EmptyInputsYieldEmptyOutcome) {
   const auto traces = two_traces();
   const auto outcome = sweep_shards(traces, {});
   EXPECT_TRUE(outcome.shards.empty());
-  EXPECT_TRUE(outcome.merged.empty());
+  EXPECT_TRUE(outcome.merged.counters.empty());
+  EXPECT_TRUE(outcome.merged.gauges.empty());
 }
 
 }  // namespace

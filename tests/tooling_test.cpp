@@ -8,7 +8,6 @@
 #include "analysis/export.hpp"
 #include "core/study.hpp"
 #include "lint/lint.hpp"
-#include "obs/registry.hpp"
 #include "stats/bootstrap.hpp"
 #include "stats/descriptive.hpp"
 #include "trace/transform.hpp"
@@ -463,7 +462,7 @@ TEST(LumosLint, RawExitExemptsMainTusAndPosixUnderscoreExit) {
                   .empty());
   // Async-signal-safe POSIX _exit(2) — the only safe call between fork
   // and exec — is deliberately outside the rule.
-  EXPECT_TRUE(lint::lint_source("supervise/process.cpp",
+  EXPECT_TRUE(lint::lint_source("stream/spawn.cpp",
                                 "void child() { _exit(127); }\n")
                   .empty());
   // tools/ and tests/ are outside the checked library surface.
@@ -549,39 +548,6 @@ TEST(LumosLint, ReasonlessSuppressionIsAFinding) {
   ASSERT_EQ(diags.size(), 2u);
   EXPECT_EQ(diags[0].rule, "lint-suppression");
   EXPECT_EQ(diags[1].rule, "banned-rng");
-}
-
-TEST(LumosLint, LintTreePublishesScanMetrics) {
-  // The registry overload reports files scanned, findings, and duration.
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "lumos_lint_metrics_fixture";
-  std::filesystem::create_directories(dir / "sim");
-  {
-    std::ofstream out(dir / "sim" / "bad.cpp");
-    out << "int r = rand();\n";
-  }
-  lumos::obs::Registry registry;
-  const auto diags = lint::lint_tree(dir, "", registry);
-  std::filesystem::remove_all(dir);
-  ASSERT_EQ(diags.size(), 1u);
-  const auto snap = registry.snapshot();
-  bool saw_files = false;
-  bool saw_findings = false;
-  for (const auto& c : snap.counters) {
-    if (c.name == "lint.files") {
-      saw_files = true;
-      EXPECT_EQ(c.value, 1u);
-    }
-    if (c.name == "lint.findings") {
-      saw_findings = true;
-      EXPECT_EQ(c.value, 1u);
-    }
-  }
-  EXPECT_TRUE(saw_files);
-  EXPECT_TRUE(saw_findings);
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_EQ(snap.gauges[0].name, "lint.duration_ms");
-  EXPECT_GE(snap.gauges[0].value, 0.0);
 }
 
 TEST(LumosLint, CleanFixtureReportsNothing) {

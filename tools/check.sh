@@ -2,10 +2,10 @@
 # One-command static-analysis + test gate.
 #
 # Runs, in sequence:
-#   release   configure + build + full ctest (includes the lumos_lint and
-#             bench_smoke cases)
+#   release   configure + build + full ctest (includes the lumos_lint
+#             cases and one bench_smoke.<name> case per harness)
 #   sanitize  ASan+UBSan build + `ctest -L sanitize` invariant suite,
-#             including the supervised bench drill (bench_runner)
+#             including bench_runner's command-line tests
 #   tsan      ThreadSanitizer build + `ctest -L tsan` concurrency suite
 #   failpoints Debug build with -DLUMOS_FAILPOINTS=ON + `ctest -L
 #             failpoints` fault-injection suite (typed-error propagation)
@@ -21,13 +21,10 @@
 #             must appear in docs/ARCHITECTURE.md, and the docs/FIGURES.md
 #             rows must be exactly the harnesses `bench_runner --list`
 #             prints
-#   bench     bench_runner --smoke --verify: every harness on capped
-#             workloads, JSON self-check + same-seed determinism of each
-#             whole harness entry (metrics, counters, gauges)
-#   bench:supervised  the bench_supervised_smoke ctest: fault drill of the
-#             crash-isolated fleet (injected crash/hang/garbage, journal
-#             resume, in-process-vs-supervised entry equivalence); the
-#             sanitize stage also runs it under ASan+UBSan
+#   bench:smoke  bench_runner --smoke --verify: every harness on capped
+#             workloads in one process, JSON self-check + same-seed
+#             determinism of each whole harness entry (metrics, counters,
+#             gauges)
 #   serve:chaos  the ext_serve_chaos drill on its own
 #             (`bench_runner --only ext_serve_chaos`): lumos_serve killed
 #             (SIGKILL) at seeded points mid-stream and SIGTERM'd once,
@@ -111,8 +108,6 @@ run_stage "docs:check" ctest --test-dir build \
   -R '^docs_check$' --output-on-failure
 run_stage "bench:smoke" ./build/bench/bench_runner --smoke --verify \
   --out build/BENCH_check.json
-run_stage "bench:supervised" ctest --test-dir build \
-  -R '^bench_supervised_smoke$' --output-on-failure
 # Crash-consistency drill: kill -9 the serve daemon at seeded points,
 # restart, and require gap-only replay plus a bit-identical final report
 # (DESIGN.md §4g; the harness throws on any divergence).

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <fstream>
 #include <regex>
 #include <sstream>
 #include <unordered_set>
 
-#include "obs/registry.hpp"
 #include "util/error.hpp"
 
 namespace lumos::lint {
@@ -468,9 +466,8 @@ std::vector<Diagnostic> lint_source(std::string_view rel_path,
     apply_token_rules(stdout_rules(), stripped_lines, rel_path, out);
   }
   // raw-exit: entry-point TUs (anything defining `int main(`) own their
-  // process and may exit/abort — e.g. bench_runner's --inject-fault
-  // crash hook. Everything else must return or
-  // throw so the supervisor sees the documented exit-code taxonomy.
+  // process and may exit/abort. Everything else must return or throw so
+  // the caller sees the documented exit-code taxonomy.
   if (checked_code) {
     static const std::regex main_re(R"(\bint\s+main\s*\()");
     if (!std::regex_search(stripped.begin(), stripped.end(), main_re)) {
@@ -584,27 +581,6 @@ std::vector<Diagnostic> lint_tree(const std::filesystem::path& root,
     out.insert(out.end(), std::make_move_iterator(diags.begin()),
                std::make_move_iterator(diags.end()));
   }
-  return out;
-}
-
-std::vector<Diagnostic> lint_tree(const std::filesystem::path& root,
-                                  std::string_view prefix,
-                                  obs::Registry& registry) {
-  const auto start = std::chrono::steady_clock::now();
-  const auto files = load_tree(root, prefix);
-  std::vector<Diagnostic> out;
-  for (const SourceFile& file : files) {
-    auto diags = lint_source(file.rel_path, file.content);
-    out.insert(out.end(), std::make_move_iterator(diags.begin()),
-               std::make_move_iterator(diags.end()));
-  }
-  registry.counter("lint.files").add(files.size());
-  registry.counter("lint.findings").add(out.size());
-  // A single lint run's wall cost, directly greppable in the emitted JSON.
-  registry.gauge("lint.duration_ms")
-      .set(std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-               .count());
   return out;
 }
 

@@ -31,12 +31,12 @@
 //                   ThreadPool boundary is allowlisted.
 //   raw-exit        exit()/abort()/quick_exit()/_Exit() in library code:
 //                   tearing the process down skips destructors, pending
-//                   flushes, and the supervisor's exit-code taxonomy
+//                   flushes, and the exit-code taxonomy
 //                   (bench/common.hpp). Only entry-point TUs — files that
 //                   define `int main(` — own their process and may exit.
 //                   Async-signal-safe POSIX `_exit(2)` (the post-fork
-//                   idiom in supervise/process.cpp) is deliberately not
-//                   matched.
+//                   idiom in bench/ext_serve_chaos.cpp) is deliberately
+//                   not matched.
 //   pragma-once     every header starts (after comments) with #pragma once.
 //   include-hygiene no parent-relative ("../") or backslashed include
 //                   paths, and no duplicate includes within a file.
@@ -68,10 +68,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-namespace lumos::obs {
-class Registry;
-}  // namespace lumos::obs
 
 namespace lumos::lint {
 
@@ -128,13 +124,5 @@ void apply_suppressions(std::string_view rel_path, std::string_view content,
 /// whose children are already top-level rule domains (src/).
 [[nodiscard]] std::vector<Diagnostic> lint_tree(
     const std::filesystem::path& root, std::string_view prefix = "");
-
-/// As above, but also publishes the scan cost into `registry`:
-/// `lint.files` / `lint.findings` counters and a `lint.duration_ms` gauge
-/// (steady_clock) — so a full-tree lint shows up in the bench-style JSON
-/// next to the workloads it gates.
-[[nodiscard]] std::vector<Diagnostic> lint_tree(
-    const std::filesystem::path& root, std::string_view prefix,
-    obs::Registry& registry);
 
 }  // namespace lumos::lint

@@ -5,17 +5,21 @@ Runs each workload of perfbench/catalogue.json once (perfbench/run.py, default
 seed and run_seconds) and fails on "correct": false. For the workloads of
 BENCHMARK.json, each end_to_end metric must be present and within its bound of
 tools/perf_baseline.json in its "better" direction. --write-baseline re-records
-that file from a clean run. BENCHMARK.json and perfbench/ are only read.
+that file from clean runs: each gated workload runs five times and each metric
+records its median, so one noisy draw cannot set the baseline. BENCHMARK.json
+and perfbench/ are only read.
 """
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BASELINE = ROOT / "tools" / "perf_baseline.json"
+BASELINE_RUNS = 5
 
 
 def load(path):
@@ -54,19 +58,20 @@ def main():
     baseline = {} if write else load(BASELINE)
     failures, recorded = [], {}
     for name in load(ROOT / "perfbench" / "catalogue.json")["workloads"]:
-        result = run_workload(name)
-        if result is None or not result["correct"]:
+        runs = BASELINE_RUNS if write and name in gated else 1
+        results = [run_workload(name) for _ in range(runs)]
+        if any(r is None or not r["correct"] for r in results):
             failures.append(f"{name}: run failed or reported correct: false")
             continue
         for metric in bench["end_to_end"] if name in gated else []:
-            got = result["metrics"].get(metric["name"])
-            if got is None:
+            got = [r["metrics"].get(metric["name"]) for r in results]
+            if None in got:
                 failures.append(f"{name}: {metric['name']} missing")
                 continue
-            recorded.setdefault(name, {})[metric["name"]] = got["value"]
+            value = statistics.median(g["value"] for g in got)
+            recorded.setdefault(name, {})[metric["name"]] = value
             base = baseline.get(name, {}).get(metric["name"])
-            if not write and (message := check(name, metric, got["value"],
-                                               base)):
+            if not write and (message := check(name, metric, value, base)):
                 failures.append(message)
     for message in failures:
         print(f"perf_gate: FAIL {message}")
