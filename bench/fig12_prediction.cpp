@@ -1,7 +1,10 @@
 // Fig 12: job runtime prediction with vs without elapsed time — five
-// models x three elapsed thresholds, per system.
+// models x three elapsed thresholds, per system. --ablation separates the
+// elapsed feature from the survival clamp on the first system and
+// publishes it as `ablation.<mode>.<model>.*.<elapsed>`.
 #include <cmath>
 #include <ostream>
+#include <string>
 
 #include "common.hpp"
 #include "harnesses.hpp"
@@ -92,10 +95,18 @@ obs::Report run_fig12_prediction(const Args& args_in, std::ostream& out) {
       for (auto model : config.models) {
         for (double frac : config.elapsed_fractions) {
           const auto& with = result.row(model, true, frac);
-          t.add_row({std::string(to_string(mode)), predict::to_string(model),
+          const std::string mode_name = to_string(mode);
+          const std::string model_name = predict::to_string(model);
+          t.add_row({mode_name, model_name,
                      util::format("avg/%.0f", 1.0 / frac),
                      util::percent(with.underestimate_rate),
                      util::percent(with.accuracy)});
+          const std::string prefix =
+              "ablation." + mode_name + "." + model_name + ".";
+          const std::string elapsed = util::format(".avg%.0f", 1.0 / frac);
+          report.set(prefix + "underestimate" + elapsed,
+                     with.underestimate_rate);
+          report.set(prefix + "accuracy" + elapsed, with.accuracy);
         }
       }
     }

@@ -1,8 +1,9 @@
 // Table II: scheduling performance of fixed relaxed backfilling vs the
 // paper's adaptive relaxed backfilling (Eq. 1) on the walltime-bearing
 // systems. --ablation additionally sweeps the adaptive factor shape
-// (DESIGN.md §4.2).
+// (DESIGN.md §4.2) and publishes it as `ablation.<shape>.*.<system>`.
 #include <ostream>
+#include <string>
 
 #include "common.hpp"
 #include "core/backfill_study.hpp"
@@ -51,11 +52,18 @@ obs::Report run_table2_adaptive_backfill(const Args& args_in,
         core::BackfillStudyConfig config;
         config.adaptive_shape = shape;
         const auto cmp = core::compare_backfill(trace, config);
-        t.add_row({trace.spec().name, std::string(to_string(shape)),
-                   util::fixed(cmp.adaptive.avg_wait, 1),
+        const std::string name(to_string(shape));
+        const std::string& system = trace.spec().name;
+        t.add_row({system, name, util::fixed(cmp.adaptive.avg_wait, 1),
                    util::fixed(cmp.adaptive.avg_bounded_slowdown, 2),
                    util::fixed(cmp.adaptive.utilization, 4),
                    util::fixed(cmp.adaptive.violation, 1)});
+        const std::string prefix = "ablation." + name + ".";
+        report.set(prefix + "wait." + system, cmp.adaptive.avg_wait);
+        report.set(prefix + "bsld." + system,
+                   cmp.adaptive.avg_bounded_slowdown);
+        report.set(prefix + "util." + system, cmp.adaptive.utilization);
+        report.set(prefix + "violation." + system, cmp.adaptive.violation);
       }
     }
     out << t.render();

@@ -16,51 +16,31 @@
 //                coexist under distinct keys; a push sequence number
 //                otherwise)
 //
-// Historically ties at (2)-(4) fell to std::priority_queue insertion
-// order: deterministic for a fixed binary, but silently pinned to one
-// heap implementation and impossible to reproduce in an alternative
-// backend. Making the order total and explicit is what lets the
-// calendar queue below be bit-equivalent to the heap.
+// The order is total, so same-instant ties are decided by (2)-(4), never
+// by heap insertion order: the event sequence is a property of the keys
+// alone, not of one std::priority_queue implementation.
 //
-// `EventQueue<Entry>` offers two backends behind one interface:
-//
-//   Heap      std::priority_queue over `event_before` — the reference
-//             implementation and fallback (the ONLY place in src/sim/
-//             allowed to name std::priority_queue; lumos_lint enforces
-//             this).
-//   Calendar  power-of-two bucket calendar queue (Brown 1988 flavour):
-//             bucket width is tuned from the observed event-time spread
-//             at each resize, lookup scans the current "year" with a
-//             direct-search fallback, and bucket lanes live in a
-//             util::Arena so steady-state operation performs no heap
-//             allocation. O(1) amortised push/pop vs O(log n).
-//
-// Entries must expose `EventKey key() const` and be trivially copyable
-// (lanes are memcpy'd when they grow). Keys of live entries must be
-// distinct — (kind, id, seq) uniqueness is the caller's contract — so
-// both backends pop the unique `event_before`-minimum and produce
-// identical sequences.
+// `EventQueue<Entry>` is a std::priority_queue over `event_before` (the
+// ONLY place in src/sim/ allowed to name std::priority_queue; lumos_lint
+// enforces this). Entries must expose `EventKey key() const`. Keys of
+// live entries must be distinct — (kind, id, seq) uniqueness is the
+// caller's contract — so every pop yields the unique `event_before`
+// minimum.
 //
 // Cancellation is tombstone-based lazy deletion: `cancel(key)` marks a
 // live entry dead without locating it; the entry is physically dropped
-// (and its tombstone retired) when it would surface at the head. Both
-// backends share the identical tombstone path, so cancellation preserves
-// heap/calendar bit-identity. The caller contract: each cancelled key
-// must currently be live and not already cancelled — the simulator
-// cancels only events it recorded when pushing (a hedged loser's Finish,
-// a finished job's pending hedge check).
+// (and its tombstone retired) when it would surface at the head. The
+// caller contract: each cancelled key must currently be live and not
+// already cancelled — the simulator cancels only events it recorded when
+// pushing (a hedged loser's Finish, a finished job's pending hedge check).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <queue>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "util/annotations.hpp"
-#include "util/arena.hpp"
-#include "util/error.hpp"
 
 namespace lumos::sim {
 
@@ -90,77 +70,13 @@ struct EventKey {
   return a.seq < b.seq;
 }
 
-enum class EventQueueKind : std::uint8_t {
-  Heap,      ///< binary heap reference backend
-  Calendar,  ///< bucketed calendar queue (default)
-};
-
-[[nodiscard]] constexpr std::string_view to_string(EventQueueKind kind) {
-  return kind == EventQueueKind::Heap ? "heap" : "calendar";
-}
-
-namespace detail {
-
-/// Lane slot: the entry plus its virtual bucket index, precomputed at
-/// push time. The year scan accepts a slot by exact integer comparison
-/// (`vindex == scanned index`) — the same function that filed the entry
-/// decides its window, so floating-point rounding at bucket boundaries
-/// can never file an entry where the scan refuses to see it.
-template <typename Entry>
-struct LaneSlot {
-  Entry entry;
-  std::uint64_t vindex;
-};
-
-/// Growable lane of trivially-copyable slots backed by a util::Arena.
-/// No destructor: storage is reclaimed wholesale by Arena::reset().
-template <typename Entry>
-class ArenaLane {
- public:
-  using Slot = LaneSlot<Entry>;
-
-  void push_back(util::Arena& arena, const Slot& slot) {
-    if (size_ == capacity_) grow(arena);
-    data_[size_++] = slot;
-  }
-  /// Removes slot i by swapping the last entry in (order-free storage).
-  void swap_remove(std::uint32_t i) { data_[i] = data_[--size_]; }
-  void clear() { size_ = 0; }
-  [[nodiscard]] std::uint32_t size() const { return size_; }
-  [[nodiscard]] const Slot& operator[](std::uint32_t i) const {
-    return data_[i];
-  }
-
- private:
-  void grow(util::Arena& arena) {
-    const std::uint32_t next = capacity_ == 0 ? 4 : capacity_ * 2;
-    Slot* data = arena.allocate<Slot>(next);
-    for (std::uint32_t i = 0; i < size_; ++i) data[i] = data_[i];
-    data_ = data;
-    capacity_ = next;
-  }
-
-  Slot* data_ = nullptr;
-  std::uint32_t size_ = 0;
-  std::uint32_t capacity_ = 0;
-};
-
-}  // namespace detail
-
 template <typename Entry>
 class EventQueue {
  public:
-  explicit EventQueue(EventQueueKind kind = EventQueueKind::Calendar)
-      : kind_(kind) {
-    if (kind_ == EventQueueKind::Calendar) rebuild(kInitialBuckets, 1.0);
-  }
-
-  [[nodiscard]] EventQueueKind kind() const { return kind_; }
   [[nodiscard]] bool empty() const { return size() == 0; }
   /// Live entries: physical population minus pending tombstones.
   [[nodiscard]] std::size_t size() const {
-    return (kind_ == EventQueueKind::Heap ? heap_.size() : count_) -
-           tombs_.size();
+    return heap_.size() - tombs_.size();
   }
 
   /// Marks the live entry with this exact key as cancelled (lazy delete;
@@ -180,51 +96,19 @@ class EventQueue {
     return cancelled_total_;
   }
 
-  LUMOS_HOT_PATH void push(const Entry& entry) {
-    if (kind_ == EventQueueKind::Heap) {
-      heap_.push(entry);
-      return;
-    }
-    if (count_ + 1 > lanes_.size() * kGrowLoad) retune(lanes_.size() * 2);
-    const EventKey key = entry.key();
-    const std::uint64_t index = virtual_bucket(key.time);
-    lanes_[index & mask_].push_back(arena_, {entry, index});
-    ++count_;
-    // A push behind the cursor (or before the cached minimum) must be
-    // visible to the next pop: rewind / refresh the cache.
-    if (index < cursor_) cursor_ = index;
-    if (min_valid_ && event_before(key, min_key_)) min_valid_ = false;
-  }
+  LUMOS_HOT_PATH void push(const Entry& entry) { heap_.push(entry); }
 
   [[nodiscard]] LUMOS_HOT_PATH const Entry& top() {
     drain_cancelled();
-    if (kind_ == EventQueueKind::Heap) return heap_.top();
-    find_min();
-    return lanes_[min_bucket_][min_slot_].entry;
+    return heap_.top();
   }
 
   LUMOS_HOT_PATH void pop() {
     drain_cancelled();
-    if (kind_ == EventQueueKind::Heap) {
-      heap_.pop();
-      return;
-    }
-    find_min();
-    lanes_[min_bucket_].swap_remove(min_slot_);
-    --count_;
-    min_valid_ = false;
-    if (lanes_.size() > kInitialBuckets && count_ * kShrinkLoad < lanes_.size()) {
-      retune(lanes_.size() / 2);
-    }
+    heap_.pop();
   }
 
  private:
-  // Load-factor thresholds: grow past 2 entries/bucket, shrink below 1/2.
-  static constexpr std::size_t kInitialBuckets = 16;
-  static constexpr std::size_t kGrowLoad = 2;
-  static constexpr std::size_t kShrinkLoad = 2;
-  static constexpr double kMinWidth = 1e-9;
-
   struct HeapCompare {
     bool operator()(const Entry& a, const Entry& b) const {
       return event_before(b.key(), a.key());  // min-queue
@@ -246,166 +130,18 @@ class EventQueue {
   }
 
   /// Physically drops cancelled entries that have reached the head, so
-  /// top()/pop() only ever see live minimums. Identical logic over both
-  /// backends: the head is located through the backend's own minimum
-  /// search, then removed if tombstoned.
+  /// top()/pop() only ever see live minimums.
   LUMOS_HOT_PATH void drain_cancelled() {
-    while (!tombs_.empty()) {
-      if (kind_ == EventQueueKind::Heap) {
-        if (heap_.empty() || !retire_tombstone(heap_.top().key())) return;
-        heap_.pop();
-      } else {
-        if (count_ == 0) return;
-        find_min();
-        if (!retire_tombstone(min_key_)) return;
-        lanes_[min_bucket_].swap_remove(min_slot_);
-        --count_;
-        min_valid_ = false;
-      }
+    while (!tombs_.empty() && !heap_.empty() &&
+           retire_tombstone(heap_.top().key())) {
+      heap_.pop();
     }
   }
 
-  // Monotone non-decreasing time -> virtual index map. Monotonicity is
-  // the only correctness requirement (t1 < t2 implies vindex(t1) <=
-  // vindex(t2), so scanning buckets in index order visits times in
-  // order); which side of a bucket boundary a time rounds to is a pure
-  // performance detail, which is what lets us use the cheaper multiply.
-  [[nodiscard]] std::uint64_t virtual_bucket(double time) const {
-    const double scaled = time * inv_width_;
-    // Events never carry negative times; clamp defensively anyway.
-    if (scaled <= 0.0) return 0;
-    if (scaled >= static_cast<double>(std::numeric_limits<std::int64_t>::max()))
-      return std::numeric_limits<std::uint64_t>::max() / 2;
-    return static_cast<std::uint64_t>(scaled);
-  }
-
-  void rebuild(std::size_t buckets, double width) {
-    arena_.reset();
-    lanes_.assign(buckets, {});
-    mask_ = buckets - 1;
-    width_ = width;
-    inv_width_ = 1.0 / width;
-    cursor_ = 0;
-    min_valid_ = false;
-  }
-
-  /// Resize to `buckets` (power of two), re-deriving the bucket width
-  /// from the observed spread of the live entries, and reinsert them.
-  /// O(n), amortised against the pushes/pops that triggered it.
-  void retune(std::size_t buckets) {
-    scratch_.clear();
-    scratch_.reserve(count_);
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
-    for (const auto& lane : lanes_) {
-      for (std::uint32_t i = 0; i < lane.size(); ++i) {
-        const Entry& entry = lane[i].entry;
-        scratch_.push_back(entry);
-        const double t = entry.key().time;
-        lo = lo < t ? lo : t;
-        hi = hi > t ? hi : t;
-      }
-    }
-    // Width = spread / buckets spreads the current population one
-    // deep on average; degenerate spreads (empty, or all ties) keep
-    // the previous width so behaviour stays defined.
-    double width = width_;
-    if (!scratch_.empty() && hi - lo > 0.0) {
-      width = (hi - lo) / static_cast<double>(buckets);
-      if (width < kMinWidth) width = kMinWidth;
-    }
-    rebuild(buckets, width);
-    std::uint64_t min_index = std::numeric_limits<std::uint64_t>::max();
-    for (const Entry& entry : scratch_) {
-      const std::uint64_t index = virtual_bucket(entry.key().time);
-      lanes_[index & mask_].push_back(arena_, {entry, index});
-      if (index < min_index) min_index = index;
-    }
-    count_ = scratch_.size();
-    // Cursor invariant: no live entry sits in a virtual bucket before it.
-    cursor_ = scratch_.empty() ? 0 : min_index;
-  }
-
-  /// Locates the event_before-minimum entry, caching (bucket, slot).
-  /// Scans the cursor's "year": a slot belongs to the scanned virtual
-  /// bucket iff its precomputed vindex matches exactly (later wraps of
-  /// the same lane have larger vindexes), so the first bucket with a
-  /// matching slot ends the search. A full fruitless wrap falls back to
-  /// direct search over every lane (sparse-queue escape hatch).
-  LUMOS_HOT_PATH void find_min() {
-    if (min_valid_) return;
-    // lumos-lint: allow(hot-throw) empty-queue top() is a caller bug, never hit on the event loop's happy path
-    if (count_ == 0) throw InternalError("EventQueue::top on empty queue");
-    const std::size_t buckets = lanes_.size();
-    std::uint64_t index = cursor_;
-    for (std::size_t step = 0; step < buckets; ++step, ++index) {
-      const auto& lane = lanes_[index & mask_];
-      bool found = false;
-      for (std::uint32_t i = 0; i < lane.size(); ++i) {
-        if (lane[i].vindex != index) continue;  // other wrap of this lane
-        const EventKey key = lane[i].entry.key();
-        if (!found || event_before(key, min_key_)) {
-          found = true;
-          min_key_ = key;
-          min_bucket_ = index & mask_;
-          min_slot_ = i;
-        }
-      }
-      if (found) {
-        cursor_ = index;
-        min_valid_ = true;
-        return;
-      }
-    }
-    // Direct search: population too sparse for the current year. The
-    // minimum vindex over all slots is the new cursor (smaller vindex
-    // means earlier time — virtual_bucket is monotone), and the
-    // event_before-minimum lives among the slots holding it.
-    std::uint64_t min_index = std::numeric_limits<std::uint64_t>::max();
-    bool found = false;
-    for (std::size_t b = 0; b < buckets; ++b) {
-      const auto& lane = lanes_[b];
-      for (std::uint32_t i = 0; i < lane.size(); ++i) {
-        if (lane[i].vindex > min_index) continue;
-        const EventKey key = lane[i].entry.key();
-        if (lane[i].vindex < min_index || !found ||
-            event_before(key, min_key_)) {
-          found = true;
-          min_index = lane[i].vindex;
-          min_key_ = key;
-          min_bucket_ = b;
-          min_slot_ = i;
-        }
-      }
-    }
-    cursor_ = min_index;
-    min_valid_ = true;
-  }
-
-  EventQueueKind kind_;
-
-  // Heap backend.
   std::priority_queue<Entry, std::vector<Entry>, HeapCompare> heap_;
 
-  // Calendar backend.
-  util::Arena arena_;
-  std::vector<detail::ArenaLane<Entry>> lanes_;
-  std::vector<Entry> scratch_;  ///< retune staging (lanes live in arena_)
-  std::size_t mask_ = 0;
-  std::size_t count_ = 0;
-  double width_ = 1.0;
-  double inv_width_ = 1.0;  ///< cached 1/width_: push divides nothing
-  std::uint64_t cursor_ = 0;  ///< virtual bucket index search resumes from
-
-  // Cached location of the current minimum (valid between pushes/pops
-  // that cannot displace it).
-  bool min_valid_ = false;
-  EventKey min_key_{};
-  std::uint32_t min_bucket_ = 0;
-  std::uint32_t min_slot_ = 0;
-
-  // Cancellation tombstones (shared by both backends) and the lifetime
-  // cancel() count surfaced as `sim.events_cancelled`.
+  // Cancellation tombstones and the lifetime cancel() count surfaced as
+  // `sim.events_cancelled`.
   std::vector<EventKey> tombs_;
   std::uint64_t cancelled_total_ = 0;
 };

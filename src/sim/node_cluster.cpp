@@ -155,9 +155,9 @@ PackingMetrics simulate_packing(const trace::Trace& trace,
   NodeCluster cluster(node_count, config.gpus_per_node, config.policy);
 
   // POD queue entry — slices live out-of-line in `slices_of`, keyed by
-  // job index, so the entry rides the calendar lanes (trivially
-  // copyable) and same-instant completions release in job order, not
-  // heap insertion order.
+  // job index, so the entry stays cheap to move through the heap and
+  // same-instant completions release in job order (the id tie-break of
+  // `event_before`), not heap insertion order.
   struct Running {
     double end;
     std::uint64_t gpus;

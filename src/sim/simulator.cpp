@@ -69,10 +69,7 @@ class SimEngine {
   SimEngine(const trace::Trace& trace, const SimConfig& config)
       : trace_(trace),
         config_(config),
-        cluster_(Cluster::from_spec(trace.spec())),
-        running_(config.event_queue),
-        retries_(config.event_queue),
-        hedge_checks_(config.event_queue) {}
+        cluster_(Cluster::from_spec(trace.spec())) {}
 
   [[nodiscard]] SimResult run();
 
@@ -210,10 +207,9 @@ class SimEngine {
   }
 
   // Releases the blocked children whose last parent finished this batch.
-  // Completions drain in event_before order on both backends, but sorting
-  // the released set by job index makes the FCFS queue order independent
-  // of even that — release order matches arrival-order semantics and is
-  // bit-identical across heap and calendar queues.
+  // Completions drain in event_before order, but sorting the released set
+  // by job index makes the FCFS queue order independent of even that —
+  // release order matches arrival-order semantics.
   LUMOS_HOT_PATH void release_ready_children() {
     std::sort(released_.begin(), released_.end());
     for (const std::uint32_t idx : released_) {

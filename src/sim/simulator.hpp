@@ -71,11 +71,6 @@ struct SimConfig {
   /// default is disabled, and a disabled config leaves every result field
   /// and counter bit-identical to the fault-free simulator.
   fault::FaultConfig fault;
-  /// Future-event queue backend. Both backends honour the same explicit
-  /// `event_before` total order (sim/event_queue.hpp), so results are
-  /// bit-identical; Calendar is O(1) amortised per event, Heap is the
-  /// reference fallback.
-  EventQueueKind event_queue = EventQueueKind::Calendar;
   /// Straggler hedging (see HedgeConfig). Disabled by default; a disabled
   /// config leaves every result field and counter bit-identical to the
   /// pre-hedging simulator.

@@ -102,7 +102,7 @@ TEST(BenchRunnerCli, HarnessFlagsReachTheHarness) {
   TempDir dir;
   const std::string harness = "table2_adaptive_backfill";
   const std::vector<std::string> base = {"--smoke", "--systems", "Theta",
-                                         "--echo", "--only", harness};
+                                         "--only", harness};
   std::vector<std::string> plain = base;
   plain.insert(plain.end(), {"--out", dir.file("plain.json")});
   const RunResult without = run_runner(dir, plain);
@@ -113,18 +113,39 @@ TEST(BenchRunnerCli, HarnessFlagsReachTheHarness) {
   const RunResult with = run_runner(dir, ablation);
   ASSERT_EQ(with.exit_code, 0) << with.err;
 
-  // --systems Theta: every metric is Theta's.
-  const obs::Json results = obs::Json::parse(slurp(dir.file("plain.json")));
-  const obs::Json* metrics = harness_entry(results, harness).find("metrics");
-  ASSERT_NE(metrics, nullptr);
-  ASSERT_FALSE(metrics->entries().empty());
-  for (const auto& [key, value] : metrics->entries()) {
+  const obs::Json plain_doc = obs::Json::parse(slurp(dir.file("plain.json")));
+  const obs::Json* plain_metrics =
+      harness_entry(plain_doc, harness).find("metrics");
+  const obs::Json ablation_doc =
+      obs::Json::parse(slurp(dir.file("ablation.json")));
+  const obs::Json* ablation_metrics =
+      harness_entry(ablation_doc, harness).find("metrics");
+  ASSERT_NE(plain_metrics, nullptr);
+  ASSERT_NE(ablation_metrics, nullptr);
+  ASSERT_FALSE(plain_metrics->entries().empty());
+
+  // --systems Theta: every metric is Theta's, and a run without
+  // --ablation publishes no ablation key.
+  for (const auto& [key, value] : plain_metrics->entries()) {
     EXPECT_TRUE(std::string_view(key).ends_with(".Theta")) << key;
+    EXPECT_FALSE(std::string_view(key).starts_with("ablation.")) << key;
   }
-  // --ablation: the harness adds its ablation sweep, which it prints
-  // (the sweep publishes no metrics).
-  EXPECT_EQ(without.out.find("Ablation:"), std::string::npos);
-  EXPECT_NE(with.out.find("Ablation:"), std::string::npos);
+  // --ablation: the same study keys with the same values, plus the
+  // factor-shape sweep as ablation.<shape>.<metric>.Theta.
+  for (const auto& [key, value] : plain_metrics->entries()) {
+    const obs::Json* same = ablation_metrics->find(key);
+    ASSERT_NE(same, nullptr) << key;
+    EXPECT_EQ(same->as_double(), value.as_double()) << key;
+  }
+  for (const char* shape : {"linear", "quadratic", "sqrt"}) {
+    for (const char* metric : {"wait", "bsld", "util", "violation"}) {
+      const std::string key = std::string("ablation.") + shape + "." +
+                              metric + ".Theta";
+      EXPECT_NE(ablation_metrics->find(key), nullptr) << key;
+    }
+  }
+  EXPECT_EQ(ablation_metrics->entries().size(),
+            plain_metrics->entries().size() + 12);
 }
 
 TEST(BenchRunnerCli, UnknownOnlyNameIsAUsageErrorAndWritesNothing) {

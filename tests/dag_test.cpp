@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -67,18 +68,19 @@ struct Ev {
   double time = 0.0;
   std::uint32_t id = 0;
   std::uint32_t seq = 0;
+  sim::EventKind kind = sim::EventKind::Finish;
   [[nodiscard]] sim::EventKey key() const noexcept {
-    return {time, sim::EventKind::Finish, id, seq};
+    return {time, kind, id, seq};
   }
 };
 
-// Both backends, driven by one randomized push/pop/cancel script, must
-// produce the pop sequence of a sorted reference model — and therefore
-// bit-identical sequences to each other — with size() net of tombstones
-// at every step.
-TEST(EventQueueCancel, ChurnBitIdentityAcrossBackends) {
-  sim::EventQueue<Ev> heap(sim::EventQueueKind::Heap);
-  sim::EventQueue<Ev> calendar(sim::EventQueueKind::Calendar);
+// One randomized push/pop/cancel script must produce the pop sequence of
+// a sorted reference model, with size() net of tombstones at every step.
+// Push times mix a heavy tie cluster, duplicate-rich integer floors, a
+// wide multi-day spread and a moderate uniform range, across the Finish,
+// Arrive and Fail kinds, so ties are decided by kind, id and seq.
+TEST(EventQueueCancel, ChurnMatchesSortedModel) {
+  sim::EventQueue<Ev> q;
   std::vector<Ev> model;  // live, uncancelled entries
   util::Rng rng(20240808);
   std::uint32_t seq = 0;
@@ -88,63 +90,58 @@ TEST(EventQueueCancel, ChurnBitIdentityAcrossBackends) {
                               return sim::event_before(a.key(), b.key());
                             });
   };
+  const auto draw_time = [&]() {
+    const double roll = rng.uniform();
+    if (roll < 0.25) return 1000.0;  // heavy tie cluster
+    if (roll < 0.5) return std::floor(rng.uniform(0.0, 100.0));
+    if (roll < 0.75) return rng.uniform(0.0, 5.0e6);  // days of seconds
+    return rng.uniform(0.0, 1e4);
+  };
   for (int step = 0; step < 4000; ++step) {
     const double dice = rng.uniform();
     if (model.empty() || dice < 0.55) {
-      const Ev e{rng.uniform(0.0, 1e4), static_cast<std::uint32_t>(
-                                            rng.uniform_index(64)),
-                 seq++};
-      heap.push(e);
-      calendar.push(e);
+      const double time = draw_time();
+      const Ev e{time, static_cast<std::uint32_t>(rng.uniform_index(64)),
+                 seq++, static_cast<sim::EventKind>(rng.uniform_index(3))};
+      q.push(e);
       model.push_back(e);
     } else if (dice < 0.80) {
       const auto it = model_min();
       const Ev expected = *it;
       model.erase(it);
-      ASSERT_EQ(heap.top().key(), expected.key());
-      ASSERT_EQ(calendar.top().key(), expected.key());
-      heap.pop();
-      calendar.pop();
+      ASSERT_EQ(q.top().key(), expected.key());
+      q.pop();
     } else {
       const auto it = model.begin() +
                       static_cast<std::ptrdiff_t>(
                           rng.uniform_index(model.size()));
-      heap.cancel(it->key());
-      calendar.cancel(it->key());
+      q.cancel(it->key());
       model.erase(it);
     }
-    ASSERT_EQ(heap.size(), model.size());
-    ASSERT_EQ(calendar.size(), model.size());
+    ASSERT_EQ(q.size(), model.size());
   }
   while (!model.empty()) {
     const auto it = model_min();
-    ASSERT_EQ(heap.top().key(), it->key());
-    ASSERT_EQ(calendar.top().key(), it->key());
-    heap.pop();
-    calendar.pop();
+    ASSERT_EQ(q.top().key(), it->key());
+    q.pop();
     model.erase(it);
   }
-  EXPECT_TRUE(heap.empty());
-  EXPECT_TRUE(calendar.empty());
-  EXPECT_EQ(heap.cancelled_total(), calendar.cancelled_total());
-  EXPECT_GT(heap.cancelled_total(), 0u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_GT(q.cancelled_total(), 0u);
 }
 
 TEST(EventQueueCancel, CancelledHeadNeverSurfaces) {
-  for (const auto kind :
-       {sim::EventQueueKind::Heap, sim::EventQueueKind::Calendar}) {
-    sim::EventQueue<Ev> q(kind);
-    q.push({1.0, 1, 0});
-    q.push({2.0, 2, 0});
-    q.push({3.0, 3, 0});
-    q.cancel(Ev{1.0, 1, 0}.key());  // head
-    q.cancel(Ev{3.0, 3, 0}.key());  // tail
-    ASSERT_EQ(q.size(), 1u);
-    EXPECT_EQ(q.top().id, 2u);
-    q.pop();
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.cancelled_total(), 2u);
-  }
+  sim::EventQueue<Ev> q;
+  q.push({1.0, 1, 0});
+  q.push({2.0, 2, 0});
+  q.push({3.0, 3, 0});
+  q.cancel(Ev{1.0, 1, 0}.key());  // head
+  q.cancel(Ev{3.0, 3, 0}.key());  // tail
+  ASSERT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.top().id, 2u);
+  q.pop();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.cancelled_total(), 2u);
 }
 
 // ----------------------------------------------------- DAG validation --
@@ -278,18 +275,14 @@ TEST(DagRelease, DroppedParentCascadesAbandonment) {
   EXPECT_EQ(result.counters.audit_failures, 0u);
 }
 
-TEST(DagRelease, BackendsBitIdenticalOnWorkflows) {
+TEST(DagRelease, WorkflowsReleaseChildrenAuditClean) {
   synth::DagWorkloadOptions opt;
   opt.workflows = 16;
   const auto t = synth::generate_dag_workload(opt);
-  auto config = audited(sim::PolicyKind::CriticalPath);
-  config.event_queue = sim::EventQueueKind::Heap;
-  const auto heap = sim::simulate(t, config);
-  config.event_queue = sim::EventQueueKind::Calendar;
-  const auto calendar = sim::simulate(t, config);
-  EXPECT_TRUE(heap == calendar);
-  EXPECT_GT(heap.counters.dag_releases, 0u);
-  EXPECT_EQ(heap.counters.audit_failures, 0u);
+  const auto result =
+      sim::simulate(t, audited(sim::PolicyKind::CriticalPath));
+  EXPECT_GT(result.counters.dag_releases, 0u);
+  EXPECT_EQ(result.counters.audit_failures, 0u);
 }
 
 // ------------------------------------------------- critical-path policy --
@@ -403,21 +396,10 @@ TEST(Hedging, DisabledConfigLeavesCountersUntouched) {
 
 // --------------------------------------------- fault x hedging composition --
 
-sim::SimConfig chaos_config(sim::EventQueueKind kind) {
-  auto config = audited(sim::PolicyKind::CriticalPath);
-  config.event_queue = kind;
-  config.hedge.threshold = 1.0;
-  config.fault.node_mtbf_s = 1500.0;   // aggressive: many interruptions
-  config.fault.node_mttr_s = 400.0;
-  config.fault.retry_backoff_s = 60.0;
-  config.fault.max_retries = 5;
-  return config;
-}
-
 // Node failures interrupting hedged pairs: cores freed exactly once,
 // goodput/waste accounted without double counting, auditor clean on
-// every event, and both backends bit-identical through the chaos.
-TEST(FaultHedging, AggressiveMtbfStaysAuditCleanAcrossBackends) {
+// every event.
+TEST(FaultHedging, AggressiveMtbfStaysAuditClean) {
   synth::DagWorkloadOptions gen;
   gen.workflows = 12;
   const auto base = synth::generate_dag_workload(gen);
@@ -425,24 +407,27 @@ TEST(FaultHedging, AggressiveMtbfStaysAuditCleanAcrossBackends) {
   tail.fraction = 0.3;
   const auto t = synth::inject_heavy_tail(base, tail);
 
-  const auto heap = sim::simulate(t, chaos_config(sim::EventQueueKind::Heap));
-  const auto calendar =
-      sim::simulate(t, chaos_config(sim::EventQueueKind::Calendar));
-  EXPECT_TRUE(heap == calendar);
-  EXPECT_EQ(heap.counters.audit_failures, 0u);
+  auto config = audited(sim::PolicyKind::CriticalPath);
+  config.hedge.threshold = 1.0;
+  config.fault.node_mtbf_s = 1500.0;  // aggressive: many interruptions
+  config.fault.node_mttr_s = 400.0;
+  config.fault.retry_backoff_s = 60.0;
+  config.fault.max_retries = 5;
+  const auto result = sim::simulate(t, config);
+  EXPECT_EQ(result.counters.audit_failures, 0u);
   // The scenario actually exercises the composition: hedges launched,
   // nodes failed, and at least one cancellation happened.
-  EXPECT_GT(heap.counters.hedges_launched, 0u);
-  EXPECT_GT(heap.counters.node_failures, 0u);
-  EXPECT_GT(heap.counters.jobs_interrupted, 0u);
-  EXPECT_GT(heap.counters.events_cancelled, 0u);
+  EXPECT_GT(result.counters.hedges_launched, 0u);
+  EXPECT_GT(result.counters.node_failures, 0u);
+  EXPECT_GT(result.counters.jobs_interrupted, 0u);
+  EXPECT_GT(result.counters.events_cancelled, 0u);
   // Every resolved pair cancels exactly one copy: a winner implies a
   // cancelled loser, and nothing is double-counted.
-  EXPECT_GE(heap.counters.hedges_cancelled, heap.counters.hedges_won);
-  EXPECT_GE(heap.counters.hedges_launched, heap.counters.hedges_won);
-  EXPECT_GE(heap.counters.hedges_launched, heap.counters.hedges_cancelled);
-  EXPECT_GE(heap.goodput_core_hours, 0.0);
-  EXPECT_GE(heap.wasted_core_hours, 0.0);
+  EXPECT_GE(result.counters.hedges_cancelled, result.counters.hedges_won);
+  EXPECT_GE(result.counters.hedges_launched, result.counters.hedges_won);
+  EXPECT_GE(result.counters.hedges_launched, result.counters.hedges_cancelled);
+  EXPECT_GE(result.goodput_core_hours, 0.0);
+  EXPECT_GE(result.wasted_core_hours, 0.0);
 }
 
 // ------------------------------------------------------ synth generators --

@@ -14,7 +14,6 @@
 #include "sim/simulator.hpp"
 #include "synth/generator.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace lumos::sim {
@@ -605,81 +604,34 @@ TEST(EventQueue, ComparatorIsTheDocumentedTotalOrder) {
 TEST(EventQueue, SameTimestampTiesPopInKindThenIdOrder) {
   // Regression for the pre-EventQueue behaviour where same-instant ties
   // fell to heap insertion order: push in scrambled order, expect the
-  // documented order back — from BOTH backends.
+  // documented order back.
   const std::vector<EventKey> expected = {
       {5.0, EventKind::Finish, 1, 0}, {5.0, EventKind::Finish, 2, 0},
       {5.0, EventKind::Arrive, 0, 0}, {5.0, EventKind::Arrive, 3, 0},
       {5.0, EventKind::Fail, 0, 0},   {5.0, EventKind::Fail, 0, 1},
   };
-  for (auto kind : {EventQueueKind::Heap, EventQueueKind::Calendar}) {
-    EventQueue<TestEvent> q(kind);
-    q.push({expected[3]});
-    q.push({expected[0]});
-    q.push({expected[5]});
-    q.push({expected[2]});
-    q.push({expected[4]});
-    q.push({expected[1]});
-    for (const auto& want : expected) {
-      ASSERT_FALSE(q.empty());
-      const EventKey got = q.top().key();
-      EXPECT_EQ(got.time, want.time);
-      EXPECT_EQ(got.kind, want.kind);
-      EXPECT_EQ(got.id, want.id);
-      EXPECT_EQ(got.seq, want.seq);
-      q.pop();
-    }
-    EXPECT_TRUE(q.empty());
+  EventQueue<TestEvent> q;
+  q.push({expected[3]});
+  q.push({expected[0]});
+  q.push({expected[5]});
+  q.push({expected[2]});
+  q.push({expected[4]});
+  q.push({expected[1]});
+  for (const auto& want : expected) {
+    ASSERT_FALSE(q.empty());
+    const EventKey got = q.top().key();
+    EXPECT_EQ(got.time, want.time);
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.id, want.id);
+    EXPECT_EQ(got.seq, want.seq);
+    q.pop();
   }
+  EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, CalendarMatchesHeapUnderRandomChurn) {
-  // Property test: interleaved pushes and pops with clustered, duplicate
-  // and wide-spread times drain in exactly the same order from both
-  // backends (distinct keys guaranteed by a per-push seq).
-  util::Rng rng(20240807);
-  EventQueue<TestEvent> heap(EventQueueKind::Heap);
-  EventQueue<TestEvent> cal(EventQueueKind::Calendar);
-  std::uint32_t seq = 0;
-  for (int round = 0; round < 2000; ++round) {
-    const double roll = rng.uniform();
-    if (roll < 0.6 || heap.empty()) {
-      double t;
-      if (roll < 0.2) {
-        t = 1000.0;  // heavy tie cluster
-      } else if (roll < 0.4) {
-        t = std::floor(rng.uniform(0.0, 100.0));  // duplicate-rich
-      } else {
-        t = rng.uniform(0.0, 5.0e6);  // wide spread (days of seconds)
-      }
-      const auto kind = static_cast<EventKind>(rng.uniform_index(3));
-      const auto id = static_cast<std::uint32_t>(rng.uniform_index(64));
-      const EventKey key{t, kind, id, seq++};
-      heap.push({key});
-      cal.push({key});
-    } else {
-      const EventKey a = heap.top().key();
-      const EventKey b = cal.top().key();
-      ASSERT_EQ(a.time, b.time);
-      ASSERT_EQ(a.kind, b.kind);
-      ASSERT_EQ(a.id, b.id);
-      ASSERT_EQ(a.seq, b.seq);
-      heap.pop();
-      cal.pop();
-    }
-    ASSERT_EQ(heap.size(), cal.size());
-  }
-  while (!heap.empty()) {
-    ASSERT_EQ(heap.top().key().seq, cal.top().key().seq);
-    heap.pop();
-    cal.pop();
-  }
-  EXPECT_TRUE(cal.empty());
-}
-
-TEST(EventQueue, FullSimulationIdenticalAcrossBackends) {
-  // End-to-end equivalence: every policy/backfill combination produces an
-  // operator==-identical SimResult from the calendar and heap backends,
-  // with the auditor checking event-loop invariants along the way.
+TEST(EventQueue, FullSimulationAuditCleanAcrossPolicies) {
+  // Every policy/backfill combination runs with the auditor checking
+  // event-loop invariants after every event.
   synth::GeneratorOptions options;
   options.duration_days = 2.0;
   const auto trace = synth::generate_system("Theta", options);
@@ -690,15 +642,9 @@ TEST(EventQueue, FullSimulationIdenticalAcrossBackends) {
       config.policy = policy;
       config.backfill.kind = b;
       config.audit = true;
-      config.event_queue = EventQueueKind::Calendar;
-      const auto calendar = simulate(trace, config);
-      config.event_queue = EventQueueKind::Heap;
-      const auto heap = simulate(trace, config);
-      EXPECT_EQ(calendar.counters.audit_failures, 0u);
-      EXPECT_EQ(heap.counters.audit_failures, 0u);
-      ASSERT_TRUE(calendar == heap)
-          << "backends diverged for " << to_string(policy) << " + "
-          << to_string(b);
+      const auto result = simulate(trace, config);
+      EXPECT_EQ(result.counters.audit_failures, 0u)
+          << to_string(policy) << " + " << to_string(b);
     }
   }
 }
@@ -706,17 +652,13 @@ TEST(EventQueue, FullSimulationIdenticalAcrossBackends) {
 TEST(EventQueue, SameInstantCompletionsReleaseInJobOrder) {
   // Two same-size jobs end at exactly t=100 while a third that needs the
   // whole machine waits. Whatever order the finish events were pushed,
-  // both backends drain the instant fully and start the big job at 100.
+  // the loop drains the instant fully and starts the big job at 100.
   auto t = make_trace(10, {job(0, 100, 5), job(0, 100, 5), job(1, 10, 10)});
-  for (auto kind : {EventQueueKind::Heap, EventQueueKind::Calendar}) {
-    SimConfig config;
-    config.event_queue = kind;
-    const auto r = simulate(t, config);
-    EXPECT_DOUBLE_EQ(r.outcomes[2].start_time, 100.0);
-    // Distinct instants: t=0 arrivals, t=1 arrival, t=100 (both finishes
-    // drain in ONE batch), t=110 the big job's own finish.
-    EXPECT_EQ(r.counters.event_batches, 4u);
-  }
+  const auto r = simulate(t, SimConfig{});
+  EXPECT_DOUBLE_EQ(r.outcomes[2].start_time, 100.0);
+  // Distinct instants: t=0 arrivals, t=1 arrival, t=100 (both finishes
+  // drain in ONE batch), t=110 the big job's own finish.
+  EXPECT_EQ(r.counters.event_batches, 4u);
 }
 
 }  // namespace

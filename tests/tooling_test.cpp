@@ -292,7 +292,7 @@ TEST(LumosLint, FlagsPriorityQueueInSimOutsideEventQueue) {
   ASSERT_EQ(in_sim.size(), 1u);
   EXPECT_EQ(in_sim[0].rule, "sim-priority-queue");
   EXPECT_EQ(in_sim[0].line, 1);
-  // The EventQueue heap backend is the one sanctioned use...
+  // The EventQueue heap is the one sanctioned use...
   EXPECT_TRUE(lint::lint_source("sim/event_queue.hpp",
                                 "#pragma once\ninline void g() { "
                                 "std::priority_queue<int> q; }\n")

@@ -1,5 +1,5 @@
 // Unit tests for the util substrate: rng, strings, csv, time, tables,
-// arena, thread pool.
+// thread pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <sstream>
 
-#include "util/arena.hpp"
 #include "util/backoff.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
@@ -331,59 +330,6 @@ TEST(ThreadPool, PropagatesLowestIndexExceptionDeterministically) {
     }
     EXPECT_EQ(caught, "boom@3");
   }
-}
-
-// --------------------------------------------------------------- Arena ---
-
-TEST(Arena, AllocationsAreAlignedAndDisjoint) {
-  Arena arena;
-  auto* a = arena.allocate<std::uint8_t>(3);
-  auto* b = arena.allocate<double>(4);   // needs 8-byte alignment
-  auto* c = arena.allocate<std::uint32_t>(1);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % alignof(double), 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c) % alignof(std::uint32_t), 0u);
-  // Writes through one allocation never alias another.
-  for (int i = 0; i < 3; ++i) a[i] = 0xAB;
-  for (int i = 0; i < 4; ++i) b[i] = 1.5;
-  *c = 42;
-  EXPECT_EQ(a[0], 0xAB);
-  EXPECT_EQ(b[3], 1.5);
-  EXPECT_EQ(*c, 42u);
-  EXPECT_GE(arena.used_bytes(), 3 + 4 * sizeof(double) + sizeof(std::uint32_t));
-  EXPECT_GE(arena.reserved_bytes(), arena.used_bytes());
-}
-
-TEST(Arena, GrowsAcrossChunksForLargeAllocations) {
-  Arena arena;
-  // Many mid-size allocations overflow chunk after chunk; every pointer
-  // stays valid (chunks are never reallocated, only appended).
-  std::vector<std::uint64_t*> blocks;
-  for (std::size_t round = 0; round < 64; ++round) {
-    auto* block = arena.allocate<std::uint64_t>(512);
-    for (std::size_t i = 0; i < 512; ++i) block[i] = round;
-    blocks.push_back(block);
-  }
-  for (std::size_t round = 0; round < 64; ++round) {
-    EXPECT_EQ(blocks[round][0], round);
-    EXPECT_EQ(blocks[round][511], round);
-  }
-  // One allocation larger than any default chunk gets a dedicated chunk.
-  auto* big = arena.allocate<std::uint64_t>(100000);
-  big[99999] = 7;
-  EXPECT_EQ(big[99999], 7u);
-  EXPECT_GE(arena.reserved_bytes(), (64 * 512 + 100000) * sizeof(std::uint64_t));
-}
-
-TEST(Arena, ResetRecyclesChunksWithoutReleasing) {
-  Arena arena;
-  (void)arena.allocate<double>(10000);
-  const std::size_t reserved = arena.reserved_bytes();
-  arena.reset();
-  EXPECT_EQ(arena.used_bytes(), 0u);
-  EXPECT_EQ(arena.reserved_bytes(), reserved);  // chunks kept for reuse
-  // Steady state: the same allocation pattern needs no new memory.
-  (void)arena.allocate<double>(10000);
-  EXPECT_EQ(arena.reserved_bytes(), reserved);
 }
 
 TEST(ThreadPool, ReusableAfterBodyThrows) {

@@ -1,7 +1,7 @@
 // Marker-scoped function-body disciplines: hot paths and signal handlers.
 //
-// PR-6 made the simulator core data-oriented — calendar-queue events, SoA
-// job state — precisely so the per-event path does no hidden work. This
+// The simulator core is data-oriented — flat POD event entries, SoA job
+// state — precisely so the per-event path does no hidden work. This
 // pass keeps it that way mechanically. A function marked with
 // `LUMOS_HOT_PATH` (src/util/annotations.hpp; expands to nothing) gets
 // its body scanned, and these are findings inside it:

@@ -477,10 +477,10 @@ std::vector<Diagnostic> lint_source(std::string_view rel_path,
   if (top == "sim" || top == "trace" || top == "core") {
     apply_token_rules(float_rules(), stripped_lines, rel_path, out);
   }
-  // sim-priority-queue: the EventQueue heap backend is the ONE sanctioned
+  // sim-priority-queue: the EventQueue heap is the ONE sanctioned
   // std::priority_queue in the simulator — every other event collection
-  // must use the shared abstraction so the event_before total order (and
-  // the calendar/heap bit-equivalence it guarantees) cannot fork.
+  // must use the shared abstraction so the one event_before total order
+  // cannot fork.
   if (top == "sim" && !path_is_any(rel_path, {"sim/event_queue.hpp",
                                               "sim/event_queue.cpp"})) {
     apply_token_rules(priority_queue_rules(), stripped_lines, rel_path, out);

@@ -21,9 +21,8 @@
 //   sim-priority-queue
 //                   std::priority_queue in sim/ outside sim/event_queue.hpp
 //                   — event ordering must flow through sim::EventQueue so
-//                   the documented event_before tie-break (not heap
-//                   insertion order) decides same-timestamp ties, and the
-//                   calendar/heap backends stay bit-equivalent.
+//                   the one documented event_before order (not heap
+//                   insertion order) decides same-timestamp ties.
 //   naked-catch-all `catch (...)` handlers that neither rethrow nor
 //                   convert/capture the exception (throw, typed
 //                   lumos::Error, or std::current_exception) — swallowing
