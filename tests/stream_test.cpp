@@ -18,6 +18,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -504,6 +505,51 @@ TEST(Snapshot, MalformedDocumentNamesTheOffendingPath) {
   } catch (const InvalidArgument& e) {
     EXPECT_NE(std::string(e.what()).find("jobs"), std::string::npos);
   }
+}
+
+// 64-bit FNV-1a of a byte string.
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(Snapshot, CharacterizerStateIsPinned) {
+  // The complete characterizer state after a long Philly stream, recorded
+  // before the sketch bookkeeping was cached. The stream is long enough
+  // to compact every quantile sketch through many levels; midway through
+  // the first shard the state goes through the JSON codec and restore,
+  // and a second contiguous shard merges in. Any change to sketch
+  // compaction, merge or restore that is meant to keep outputs must keep
+  // this digest; an intended output change re-records it here.
+  synth::GeneratorOptions options;
+  options.seed = 2024;
+  options.duration_days = 60.0;
+  const auto trace = synth::generate_system("Philly", options);
+  const auto config = config_for(trace);
+  const auto& jobs = trace.jobs();
+  ASSERT_GE(jobs.size(), 200000u);
+
+  const std::size_t half = jobs.size() / 2;
+  const std::size_t stop = half / 2;
+  OnlineCharacterizer first(config);
+  for (std::size_t i = 0; i < stop; ++i) first.ingest(jobs[i]);
+  first = OnlineCharacterizer::restore(
+      characterizer_from_json(to_json(first.snapshot())));
+  for (std::size_t i = stop; i < half; ++i) first.ingest(jobs[i]);
+  OnlineCharacterizer second(config);
+  for (std::size_t i = half; i < jobs.size(); ++i) second.ingest(jobs[i]);
+  first.merge(second);
+
+  const auto snap = first.snapshot();
+  EXPECT_EQ(snap.jobs, jobs.size());
+  EXPECT_GE(snap.runtime_sketch.levels.size(), 8u);
+  EXPECT_GE(snap.wait_sketch.levels.size(), 8u);
+  EXPECT_GE(snap.interarrival_sketch.levels.size(), 8u);
+  EXPECT_EQ(fnv1a(to_json(snap).dump()), 0x32d8400e8fd48389ULL);
 }
 
 // ---- checkpoints ---------------------------------------------------------
