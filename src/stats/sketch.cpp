@@ -18,28 +18,18 @@ QuantileSketch::QuantileSketch(Options options)
     : k_(std::max<std::size_t>(options.k, 2 * kMinLevelCapacity)),
       rng_(options.seed) {}
 
-std::size_t QuantileSketch::level_capacity(std::size_t level,
-                                           std::size_t num_levels) const {
-  const double decayed =
-      static_cast<double>(k_) *
-      std::pow(kDecay, static_cast<double>(num_levels - 1 - level));
-  const auto cap = static_cast<std::size_t>(std::ceil(decayed));
-  return std::max(cap, kMinLevelCapacity);
-}
-
-std::size_t QuantileSketch::capacity_budget() const {
-  std::size_t budget = 0;
-  const std::size_t num_levels = std::max<std::size_t>(levels_.size(), 1);
+void QuantileSketch::rebuild_capacities() {
+  const std::size_t num_levels = levels_.size();
+  capacities_.resize(num_levels);
+  budget_ = 0;
   for (std::size_t h = 0; h < num_levels; ++h) {
-    budget += level_capacity(h, num_levels);
+    const double decayed =
+        static_cast<double>(k_) *
+        std::pow(kDecay, static_cast<double>(num_levels - 1 - h));
+    capacities_[h] = std::max(static_cast<std::size_t>(std::ceil(decayed)),
+                              kMinLevelCapacity);
+    budget_ += capacities_[h];
   }
-  return budget;
-}
-
-std::size_t QuantileSketch::retained() const noexcept {
-  std::size_t total = 0;
-  for (const auto& level : levels_) total += level.size();
-  return total;
 }
 
 void QuantileSketch::insert(double x) {
@@ -49,11 +39,15 @@ void QuantileSketch::insert(double x) {
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
   }
-  if (levels_.empty()) levels_.emplace_back();
+  if (levels_.empty()) {
+    levels_.emplace_back();
+    rebuild_capacities();
+  }
   levels_.front().push_back(x);
+  ++retained_;
   ++count_;
   view_dirty_ = true;
-  if (retained() > capacity_budget()) compress();
+  if (retained_ > budget_) compress();
 }
 
 void QuantileSketch::merge(const QuantileSketch& other) {
@@ -67,29 +61,31 @@ void QuantileSketch::merge(const QuantileSketch& other) {
   }
   if (levels_.size() < other.levels_.size()) {
     levels_.resize(other.levels_.size());
+    rebuild_capacities();
   }
   for (std::size_t h = 0; h < other.levels_.size(); ++h) {
     levels_[h].insert(levels_[h].end(), other.levels_[h].begin(),
                       other.levels_[h].end());
   }
+  retained_ += other.retained_;
   count_ += other.count_;
   view_dirty_ = true;
-  if (retained() > capacity_budget()) compress();
+  if (retained_ > budget_) compress();
 }
 
 void QuantileSketch::compress() {
-  while (retained() > capacity_budget()) {
+  while (retained_ > budget_) {
     const std::size_t num_levels = levels_.size();
     // Budget exceeded implies (pigeonhole) some level exceeds its own
     // capacity; compact the lowest such level, halving it upward.
     std::size_t l = 0;
-    while (l < num_levels &&
-           levels_[l].size() <= level_capacity(l, num_levels)) {
-      ++l;
-    }
+    while (l < num_levels && levels_[l].size() <= capacities_[l]) ++l;
     if (l == num_levels) break;  // growing levels_ raised the budget
     // Grow first: emplace_back would invalidate references into levels_.
-    if (l + 1 == levels_.size()) levels_.emplace_back();
+    if (l + 1 == levels_.size()) {
+      levels_.emplace_back();
+      rebuild_capacities();
+    }
     auto& level = levels_[l];
     auto& above = levels_[l + 1];
     std::sort(level.begin(), level.end());
@@ -106,6 +102,7 @@ void QuantileSketch::compress() {
     for (std::size_t i = keep_odd ? 1 : 0; i < level.size(); i += 2) {
       above.push_back(level[i]);
     }
+    retained_ -= level.size() / 2;
     level.clear();
     if (has_carry) level.push_back(carry);
   }
@@ -115,7 +112,7 @@ void QuantileSketch::compress() {
 void QuantileSketch::ensure_view() const {
   if (!view_dirty_) return;
   view_.clear();
-  view_.reserve(retained());
+  view_.reserve(retained_);
   std::uint64_t weight = 1;
   for (const auto& level : levels_) {
     for (double v : level) view_.emplace_back(v, weight);
@@ -184,10 +181,12 @@ QuantileSketch QuantileSketch::restore(const Snapshot& snapshot) {
   // item represents 2^h stream elements. A checkpoint that fails it is
   // corrupt and must not restore into a silently-wrong sketch.
   std::uint64_t weight = 0;
+  std::size_t retained = 0;
   LUMOS_REQUIRE(snapshot.levels.size() < 64,
                 "QuantileSketch snapshot: too many levels");
   for (std::size_t h = 0; h < snapshot.levels.size(); ++h) {
     weight += static_cast<std::uint64_t>(snapshot.levels[h].size()) << h;
+    retained += snapshot.levels[h].size();
   }
   LUMOS_REQUIRE(weight == snapshot.count,
                 "QuantileSketch snapshot: retained weight does not match "
@@ -201,6 +200,8 @@ QuantileSketch QuantileSketch::restore(const Snapshot& snapshot) {
                 "QuantileSketch snapshot: k below the minimum capacity");
   sketch.rng_.set_state(snapshot.rng);
   sketch.levels_ = snapshot.levels;
+  sketch.rebuild_capacities();
+  sketch.retained_ = retained;
   sketch.count_ = snapshot.count;
   sketch.min_ = snapshot.min;
   sketch.max_ = snapshot.max;

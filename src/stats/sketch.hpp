@@ -2,9 +2,9 @@
 //
 // The exact stats layer (`Ecdf`, `summarize`) needs the whole sample in
 // memory; these sketches answer the same queries over unbounded streams
-// with O(k log(n/k)) retained items and O(1) amortized ingest — the
-// substrate of the streaming "lumos-served" mode (DESIGN.md "Streaming
-// mode", `src/stream`). Two complementary error models:
+// with O(k log(n/k)) retained items — the substrate of the streaming
+// "lumos-served" mode (DESIGN.md "Streaming mode", `src/stream`). Two
+// complementary error models:
 //
 //   QuantileSketch     — KLL-style compactor hierarchy (Karnin-Lang-
 //                        Liberty 2016). Guarantees *rank* error: a
@@ -61,8 +61,12 @@ class QuantileSketch {
   QuantileSketch() : QuantileSketch(Options{}) {}
   explicit QuantileSketch(Options options);
 
-  /// Adds one observation. O(1) amortized; a compaction pass runs only
-  /// when the retained items exceed the capacity budget.
+  /// Adds one observation: a push and one compare of the running
+  /// retained count against the cached capacity budget. A compaction
+  /// pass (sort one over-full level, halve it upward) runs only when the
+  /// budget is exceeded — about every 9 inserts once level 0 sits at its
+  /// floor of 8 items. The per-level capacity table behind the budget is
+  /// rebuilt only when the level count changes.
   void insert(double x);
 
   /// Folds `other` into this sketch. The merged sketch covers the
@@ -87,7 +91,7 @@ class QuantileSketch {
 
   /// Items currently held across all levels — the memory footprint proxy
   /// (8 bytes each). Bounded by ~3k + 8 * levels regardless of count().
-  [[nodiscard]] std::size_t retained() const noexcept;
+  [[nodiscard]] std::size_t retained() const noexcept { return retained_; }
 
   // ---- Ecdf-compatible query surface (shared quantile convention) ----
 
@@ -126,11 +130,11 @@ class QuantileSketch {
   [[nodiscard]] static QuantileSketch restore(const Snapshot& snapshot);
 
  private:
-  /// Capacity of level `level` when `num_levels` exist (top level gets k,
-  /// lower levels decay by c = 2/3, floored at kMinLevelCapacity).
-  [[nodiscard]] std::size_t level_capacity(std::size_t level,
-                                           std::size_t num_levels) const;
-  [[nodiscard]] std::size_t capacity_budget() const;
+  /// Recomputes capacities_ and budget_ for the current level count: the
+  /// top level gets k, lower levels decay by c = 2/3, floored at
+  /// kMinLevelCapacity. Runs only when levels_.size() changes (first
+  /// insert, a level added by compress(), merge() resizing, restore()).
+  void rebuild_capacities();
   /// Compacts the lowest over-full level until within budget.
   void compress();
   /// Sorted (value, weight) view of every retained item; cached until the
@@ -146,6 +150,13 @@ class QuantileSketch {
   std::uint64_t count_ = 0;
   double min_ = 0.0;
   double max_ = 0.0;
+
+  // Derived from k_ and levels_, never part of a Snapshot: capacities_[h]
+  // is level h's capacity at the current level count, budget_ their sum,
+  // retained_ the running total of levels_[h].size().
+  std::vector<std::size_t> capacities_;
+  std::size_t budget_ = 0;
+  std::size_t retained_ = 0;
 
   mutable bool view_dirty_ = true;
   mutable std::vector<std::pair<double, std::uint64_t>> view_;

@@ -43,6 +43,7 @@ stats::StreamingHistogram make_histogram(const StreamConfig& c) {
 
 OnlineCharacterizer::OnlineCharacterizer(StreamConfig config)
     : config_(config),
+      log_run_ratio_(std::log(1.0 + 2.0 * config_.run_tolerance)),
       runtime_sketch_(make_sketch(config_, 1)),
       wait_sketch_(make_sketch(config_, 2)),
       interarrival_sketch_(make_sketch(config_, 3)),
@@ -64,9 +65,8 @@ std::uint64_t OnlineCharacterizer::group_key(const trace::Job& job) const {
   // common center land in the same bucket.
   std::int32_t bucket = std::numeric_limits<std::int32_t>::min();
   if (job.run_time > 0.0) {
-    const double ratio = 1.0 + 2.0 * config_.run_tolerance;
     bucket = static_cast<std::int32_t>(
-        std::floor(std::log(job.run_time) / std::log(ratio)));
+        std::floor(std::log(job.run_time) / log_run_ratio_));
   }
   return (static_cast<std::uint64_t>(job.cores) << 32) |
          static_cast<std::uint32_t>(bucket);

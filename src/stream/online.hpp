@@ -3,8 +3,8 @@
 //
 // Every exact analysis in `src/analysis` loads a whole trace before
 // computing anything; this class consumes job events one at a time
-// (submit order) and maintains, with O(1) amortized work per event and
-// memory independent of stream length:
+// (submit order) and maintains, with per-event work bounded by the
+// sketch and table caps and memory independent of stream length:
 //
 //   * distribution sketches — runtime / wait / inter-arrival gap
 //     `stats::QuantileSketch` (rank-error bound) plus a runtime
@@ -242,6 +242,9 @@ class OnlineCharacterizer {
   void advance_window(double t);
 
   StreamConfig config_;
+  /// log(1 + 2 * run_tolerance), the group_key bucket width; derived from
+  /// config_ and never part of a Snapshot.
+  double log_run_ratio_;
   std::uint64_t jobs_ = 0;
   std::uint64_t out_of_order_ = 0;
   double first_submit_ = 0.0;

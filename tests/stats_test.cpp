@@ -477,6 +477,60 @@ TEST(QuantileSketch, RestoreRejectsInvertedMinMax) {
   EXPECT_THROW(QuantileSketch::restore(snapshot), InvalidArgument);
 }
 
+// The retained count recomputed from scratch: the sum of the level sizes.
+std::size_t level_items(const QuantileSketch::Snapshot& snapshot) {
+  std::size_t total = 0;
+  for (const auto& level : snapshot.levels) total += level.size();
+  return total;
+}
+
+TEST(QuantileSketch, CachedBudgetSurvivesMergeAndRestore) {
+  // The per-level capacities and the retained count are cached and never
+  // serialized. A restored sketch must rebuild them for the snapshot's k,
+  // not the default one, so that every later compaction matches a twin
+  // that never stopped, bit for bit.
+  for (const std::size_t k : {50u, 400u}) {
+    QuantileSketch::Options options;
+    options.k = k;
+    QuantileSketch twin(options);
+    util::Rng data(41 + k);
+    for (int i = 0; i < 20000; ++i) twin.insert(data.lognormal(5.0, 2.0));
+    ASSERT_GT(twin.snapshot().levels.size(), 3u) << "k=" << k;
+    QuantileSketch restored = QuantileSketch::restore(twin.snapshot());
+    std::size_t compactions = 0;
+    for (int i = 0; i < 20000; ++i) {
+      const double x = data.lognormal(5.0, 2.0);
+      const std::size_t before = twin.retained();
+      twin.insert(x);
+      restored.insert(x);
+      ASSERT_EQ(restored.retained(), twin.retained()) << "k=" << k;
+      if (twin.retained() == before + 1) continue;  // no compaction
+      ++compactions;
+      const auto expected = twin.snapshot();
+      const auto actual = restored.snapshot();
+      ASSERT_EQ(actual.levels, expected.levels) << "k=" << k << " i=" << i;
+      ASSERT_EQ(actual.rng.words, expected.rng.words) << "k=" << k;
+      ASSERT_EQ(twin.retained(), level_items(expected)) << "k=" << k;
+    }
+    EXPECT_GT(compactions, 100u) << "k=" << k;
+  }
+
+  // Merging sketches of different depths: the retained count must equal
+  // the merged level sizes whichever side has more levels.
+  QuantileSketch deep;
+  QuantileSketch shallow;
+  util::Rng data(43);
+  for (int i = 0; i < 100000; ++i) deep.insert(data.uniform(0.0, 1e6));
+  for (int i = 0; i < 1000; ++i) shallow.insert(data.uniform(0.0, 1e6));
+  ASSERT_GT(deep.snapshot().levels.size(), shallow.snapshot().levels.size());
+  QuantileSketch grown = shallow;
+  grown.merge(deep);
+  EXPECT_EQ(grown.count(), deep.count() + shallow.count());
+  EXPECT_EQ(grown.retained(), level_items(grown.snapshot()));
+  deep.merge(shallow);
+  EXPECT_EQ(deep.retained(), level_items(deep.snapshot()));
+}
+
 TEST(StreamingHistogram, SnapshotRestoreIsExact) {
   StreamingHistogram original;
   util::Rng data(22);

@@ -297,7 +297,11 @@ TEST(LumosLint, FlagsPriorityQueueInSimOutsideEventQueue) {
                                 "#pragma once\ninline void g() { "
                                 "std::priority_queue<int> q; }\n")
                   .empty());
-  // ...and the rule is scoped to sim/: other layers may order freely.
+  // ...and only the header: the queue has no .cpp to exempt.
+  const auto in_cpp = lint::lint_source("sim/event_queue.cpp", body);
+  ASSERT_EQ(in_cpp.size(), 1u);
+  EXPECT_EQ(in_cpp[0].rule, "sim-priority-queue");
+  // The rule is scoped to sim/: other layers may order freely.
   EXPECT_TRUE(lint::lint_source("stats/topk.cpp", body).empty());
   EXPECT_TRUE(lint::lint_source("util/heap_util.cpp", body).empty());
   // Mentions in comments and strings never trip the token scan.

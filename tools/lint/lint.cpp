@@ -481,8 +481,7 @@ std::vector<Diagnostic> lint_source(std::string_view rel_path,
   // std::priority_queue in the simulator — every other event collection
   // must use the shared abstraction so the one event_before total order
   // cannot fork.
-  if (top == "sim" && !path_is_any(rel_path, {"sim/event_queue.hpp",
-                                              "sim/event_queue.cpp"})) {
+  if (top == "sim" && !path_is_any(rel_path, {"sim/event_queue.hpp"})) {
     apply_token_rules(priority_queue_rules(), stripped_lines, rel_path, out);
   }
   if (is_header) check_pragma_once(stripped_lines, rel_path, out);
