@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "stats/correlation.hpp"
 #include "stats/sketch.hpp"
@@ -553,6 +555,58 @@ TEST(StreamingHistogram, RestoreRejectsCountMismatch) {
   auto snapshot = hist.snapshot();
   snapshot.count += 5;  // buckets no longer account for every insert
   EXPECT_THROW(StreamingHistogram::restore(snapshot), InvalidArgument);
+}
+
+// 64-bit FNV-1a over every field of a histogram snapshot; doubles are
+// hashed by their bit patterns.
+std::uint64_t fnv1a(const StreamingHistogram::Snapshot& s) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ULL;
+    }
+  };
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  mix(s.buckets.size());
+  for (const auto& [index, n] : s.buckets) {
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(index)));
+    mix(n);
+  }
+  mix(s.zero_count);
+  mix(s.count);
+  mix(bits(s.sum));
+  mix(bits(s.min));
+  mix(bits(s.max));
+  return h;
+}
+
+TEST(StreamingHistogram, CollapsedStateIsPinned) {
+  // The default cap of 2048 buckets is never reached by the serve
+  // workload, so this pins the collapse rule on its own: at 16 buckets
+  // every shard collapses while it is fed, the first shard goes through
+  // snapshot/restore midway, and the merges collapse again.
+  StreamingHistogram::Options options;
+  options.max_buckets = 16;
+  util::Rng data(61);
+  StreamingHistogram merged(options);
+  for (int shard = 0; shard < 3; ++shard) {
+    StreamingHistogram hist(options);
+    for (int i = 0; i < 5000; ++i) {
+      hist.insert(data.bernoulli(0.05) ? 0.0
+                                       : data.lognormal(2.0 * shard, 2.0));
+      if (shard == 0 && i == 2500) {
+        hist = StreamingHistogram::restore(hist.snapshot());
+      }
+    }
+    EXPECT_EQ(hist.snapshot().buckets.size(), 16u);
+    merged.merge(hist);
+  }
+  const auto snap = merged.snapshot();
+  EXPECT_EQ(snap.count, 15000u);
+  ASSERT_EQ(snap.buckets.size(), 16u);
+  EXPECT_GT(snap.zero_count, 0u);
+  EXPECT_EQ(fnv1a(snap), 0x02b5d7f4818101bfULL);
 }
 
 }  // namespace

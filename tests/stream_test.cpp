@@ -552,6 +552,61 @@ TEST(Snapshot, CharacterizerStateIsPinned) {
   EXPECT_EQ(fnv1a(to_json(snap).dump()), 0x32d8400e8fd48389ULL);
 }
 
+// A job from a small, skewed user population with many (cores, runtime)
+// configurations per user, so tight table caps evict often.
+trace::Job eviction_job(util::Rng& rng, double submit) {
+  trace::Job job;
+  job.submit_time = submit;
+  const double u = rng.uniform();
+  job.user = static_cast<std::uint32_t>(60.0 * u * u);
+  job.cores = 1u << rng.uniform_index(5);
+  job.run_time = std::exp(rng.normal(5.0, 1.5));
+  job.wait_time = rng.exponential(1.0 / 300.0);
+  return job;
+}
+
+TEST(Snapshot, EvictionStateIsPinned) {
+  // The default caps (512 users x 64 groups) are never reached by the
+  // serve workload, so this pins the eviction paths on their own: 16
+  // users x 4 groups under a 60-user stream. Midway through the first
+  // shard the state goes through the JSON codec and restore; a second
+  // contiguous shard then merges in, which evicts users and groups again.
+  // Ties on the smallest count go to the first key, so the digest also
+  // pins that rule.
+  StreamConfig config;
+  config.max_tracked_users = 16;
+  config.max_groups_per_user = 4;
+  util::Rng rng(77);
+  OnlineCharacterizer first(config);
+  OnlineCharacterizer second(config);
+  double t = 0.0;
+  for (int i = 0; i < 20000; ++i) {
+    t += rng.exponential(1.0 / 30.0);
+    first.ingest(eviction_job(rng, t));
+    if (i == 9000) {
+      first = OnlineCharacterizer::restore(
+          characterizer_from_json(to_json(first.snapshot())));
+    }
+  }
+  for (int i = 0; i < 20000; ++i) {
+    t += rng.exponential(1.0 / 30.0);
+    second.ingest(eviction_job(rng, t));
+  }
+  first.merge(second);
+
+  const auto snap = first.snapshot();
+  EXPECT_EQ(snap.jobs, 40000u);
+  EXPECT_EQ(snap.users.size(), 16u);
+  EXPECT_GT(snap.untracked_jobs, 1000u);
+  std::uint64_t overflow = 0;
+  for (const auto& user : snap.users) {
+    EXPECT_LE(user.groups.size(), 4u);
+    overflow += user.overflow;
+  }
+  EXPECT_GT(overflow, 1000u);
+  EXPECT_EQ(fnv1a(to_json(snap).dump()), 0xa661f2c49c11971cULL);
+}
+
 // ---- checkpoints ---------------------------------------------------------
 
 class CheckpointTest : public ::testing::Test {
