@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/annotations.hpp"
 #include "util/error.hpp"
 
 namespace lumos::stats {
@@ -32,7 +33,7 @@ void QuantileSketch::rebuild_capacities() {
   }
 }
 
-void QuantileSketch::insert(double x) {
+LUMOS_HOT_PATH void QuantileSketch::insert(double x) {
   if (count_ == 0) {
     min_ = max_ = x;
   } else {
@@ -252,7 +253,7 @@ double StreamingHistogram::bucket_value(std::int32_t index) const {
          (gamma + 1.0);
 }
 
-void StreamingHistogram::insert(double x) {
+LUMOS_HOT_PATH void StreamingHistogram::insert(double x) {
   if (x < 0.0) x = 0.0;
   if (count_ == 0) {
     min_ = max_ = x;
@@ -263,7 +264,7 @@ void StreamingHistogram::insert(double x) {
   if (x < options_.min_value) {
     ++zero_count_;
   } else {
-    ++buckets_[bucket_index(x)];
+    ++util::find_or_insert(buckets_, bucket_index(x))->second;
     collapse_if_needed();
   }
   ++count_;
@@ -283,7 +284,10 @@ void StreamingHistogram::merge(const StreamingHistogram& other) {
     min_ = std::min(min_, other.min_);
     max_ = std::max(max_, other.max_);
   }
-  for (const auto& [index, n] : other.buckets_) buckets_[index] += n;
+  util::merge_into(buckets_, other.buckets_,
+                   [](std::uint64_t& mine, std::uint64_t theirs) {
+                     mine += theirs;
+                   });
   zero_count_ += other.zero_count_;
   count_ += other.count_;
   sum_ += other.sum_;
@@ -291,12 +295,15 @@ void StreamingHistogram::merge(const StreamingHistogram& other) {
 }
 
 void StreamingHistogram::collapse_if_needed() {
-  while (buckets_.size() > options_.max_buckets) {
-    auto lowest = buckets_.begin();
-    auto second = std::next(lowest);
-    second->second += lowest->second;
-    buckets_.erase(lowest);
+  // Folding the lowest bucket into the next one until the cap holds is
+  // folding every excess bucket into the lowest one kept.
+  if (buckets_.size() <= options_.max_buckets) return;
+  const std::size_t excess = buckets_.size() - options_.max_buckets;
+  for (std::size_t i = 0; i < excess; ++i) {
+    buckets_[excess].second += buckets_[i].second;
   }
+  buckets_.erase(buckets_.begin(),
+                 buckets_.begin() + static_cast<std::ptrdiff_t>(excess));
 }
 
 double StreamingHistogram::operator()(double x) const {
@@ -332,7 +339,7 @@ double StreamingHistogram::quantile(double q) const {
 StreamingHistogram::Snapshot StreamingHistogram::snapshot() const {
   Snapshot snap;
   snap.options = options_;
-  snap.buckets.assign(buckets_.begin(), buckets_.end());
+  snap.buckets = buckets_;
   snap.zero_count = zero_count_;
   snap.count = count_;
   snap.sum = sum_;
@@ -343,12 +350,11 @@ StreamingHistogram::Snapshot StreamingHistogram::snapshot() const {
 
 StreamingHistogram StreamingHistogram::restore(const Snapshot& snapshot) {
   StreamingHistogram hist(snapshot.options);  // validates the options
+  hist.buckets_ = snapshot.buckets;
+  LUMOS_REQUIRE(util::sort_unique_keys(hist.buckets_),
+                "StreamingHistogram snapshot: duplicate bucket index");
   std::uint64_t total = snapshot.zero_count;
-  for (const auto& [index, n] : snapshot.buckets) {
-    LUMOS_REQUIRE(hist.buckets_.emplace(index, n).second,
-                  "StreamingHistogram snapshot: duplicate bucket index");
-    total += n;
-  }
+  for (const auto& [index, n] : hist.buckets_) total += n;
   LUMOS_REQUIRE(total == snapshot.count,
                 "StreamingHistogram snapshot: bucket counts do not sum to "
                 "count");

@@ -16,7 +16,9 @@
 //                        error: the returned quantile value is within
 //                        relative_error() of the true quantile value.
 //                        Merge is exact (bucket-wise add), so sharded
-//                        ingest is bit-identical to serial ingest.
+//                        ingest is bit-identical to serial ingest. The
+//                        buckets are a flat vector sorted by index
+//                        (util/sorted_table.hpp), the snapshot layout.
 //
 // Both expose the `Ecdf` query surface — operator()(x) = F(x),
 // quantile(q), curve(points) — so analyses can swap the exact backend for
@@ -37,11 +39,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/sorted_table.hpp"
 
 namespace lumos::stats {
 
@@ -180,7 +182,9 @@ class StreamingHistogram {
   StreamingHistogram() : StreamingHistogram(Options{}) {}
   explicit StreamingHistogram(Options options);
 
-  /// Adds one non-negative observation (negatives clamp to 0).
+  /// Adds one non-negative observation (negatives clamp to 0): a binary
+  /// search of the sorted bucket table, and an insert in index order when
+  /// the bucket is new.
   void insert(double x);
 
   /// Bucket-wise add — exact, commutative, and associative, so sharded
@@ -226,7 +230,9 @@ class StreamingHistogram {
   /// bit-identically.
   struct Snapshot {
     Options options;
-    std::vector<std::pair<std::int32_t, std::uint64_t>> buckets;
+    /// (bucket index, count) sorted by index; restore() also accepts
+    /// any order.
+    util::SortedTable<std::int32_t, std::uint64_t> buckets;
     std::uint64_t zero_count = 0;
     std::uint64_t count = 0;
     double sum = 0.0;
@@ -234,8 +240,9 @@ class StreamingHistogram {
     double max = 0.0;
   };
   [[nodiscard]] Snapshot snapshot() const;
-  /// Throws lumos::InvalidArgument on inconsistent state (bucket counts
-  /// plus the zero bucket must sum to count; options must validate).
+  /// Throws lumos::InvalidArgument on inconsistent state (a repeated
+  /// bucket index; bucket counts plus the zero bucket must sum to count;
+  /// options must validate).
   [[nodiscard]] static StreamingHistogram restore(const Snapshot& snapshot);
 
  private:
@@ -245,8 +252,9 @@ class StreamingHistogram {
 
   Options options_;
   double log_gamma_;
-  /// bucket index -> count; ordered so quantile walks are one pass.
-  std::map<std::int32_t, std::uint64_t> buckets_;
+  /// (bucket index, count) sorted by index, so quantile walks are one
+  /// pass and snapshot() is a copy.
+  util::SortedTable<std::int32_t, std::uint64_t> buckets_;
   std::uint64_t zero_count_ = 0;
   std::uint64_t count_ = 0;
   double sum_ = 0.0;

@@ -131,7 +131,7 @@ class Ingestor {
       result_.characterizer.ingest(row.job);
       ++result_.events;
       ++result_.replayed_events;
-      last_event_ = Clock::now();
+      unstamped_events_ = true;
       stall_warned_ = false;
     } catch (const ParseError&) {
       if (result_.bad_rows >= options_.bad_row_budget) throw;
@@ -150,9 +150,22 @@ class Ingestor {
     return options_.max_events == 0 || result_.events < options_.max_events;
   }
 
+  /// Sets the last-event clock to now when events arrived since the last
+  /// stamp. feed() does not read the clock; the two readers of
+  /// last_event_ (on_idle and refresh_timing) stamp first instead. The
+  /// clock is then read at most once per idle poll or report, and a stamp
+  /// lags the true last event only by the time spent on the lines fed
+  /// after it.
+  void stamp_events() {
+    if (!unstamped_events_) return;
+    last_event_ = Clock::now();
+    unstamped_events_ = false;
+  }
+
   /// Watchdog hook, called from the poll path: warns once per stall when
   /// no event arrived for stall_warn_s.
   void on_idle() {
+    stamp_events();
     if (options_.stall_warn_s <= 0.0 || stall_warned_) return;
     if (age_seconds(last_event_) >= options_.stall_warn_s) {
       stall_warned_ = true;
@@ -181,6 +194,7 @@ class Ingestor {
   }
 
   void refresh_timing() {
+    stamp_events();
     const std::chrono::duration<double> elapsed = Clock::now() - start_;
     result_.wall_seconds = elapsed.count();
     result_.events_per_sec =
@@ -226,6 +240,7 @@ class Ingestor {
   Clock::time_point start_;
   Clock::time_point last_event_;
   Clock::time_point last_checkpoint_;
+  bool unstamped_events_ = false;
   bool stall_warned_ = false;
 
  public:

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <vector>
 
+#include "util/annotations.hpp"
 #include "util/error.hpp"
 
 namespace lumos::stream {
@@ -74,11 +76,11 @@ std::uint64_t OnlineCharacterizer::group_key(const trace::Job& job) const {
 
 void OnlineCharacterizer::bound_user_groups(UserState& user) {
   while (user.groups.size() > config_.max_groups_per_user) {
-    // Evict the smallest-count group (first such key for determinism).
-    auto victim = user.groups.begin();
-    for (auto it = std::next(victim); it != user.groups.end(); ++it) {
-      if (it->second < victim->second) victim = it;
-    }
+    // Evict the smallest-count group; min_element keeps the first such
+    // key, which makes the choice deterministic.
+    const auto victim = std::min_element(
+        user.groups.begin(), user.groups.end(),
+        [](const auto& a, const auto& b) { return a.second < b.second; });
     user.overflow += victim->second;
     user.groups.erase(victim);
   }
@@ -86,10 +88,10 @@ void OnlineCharacterizer::bound_user_groups(UserState& user) {
 
 void OnlineCharacterizer::evict_smallest_user() {
   while (users_.size() > config_.max_tracked_users) {
-    auto victim = users_.begin();
-    for (auto it = std::next(victim); it != users_.end(); ++it) {
-      if (it->second.jobs < victim->second.jobs) victim = it;
-    }
+    const auto victim = std::min_element(
+        users_.begin(), users_.end(), [](const auto& a, const auto& b) {
+          return a.second.jobs < b.second.jobs;
+        });
     untracked_jobs_ += victim->second.jobs;
     users_.erase(victim);
   }
@@ -118,7 +120,7 @@ void OnlineCharacterizer::advance_window(double t) {
   open_window_jobs_ = 0;
 }
 
-void OnlineCharacterizer::ingest(const trace::Job& job) {
+LUMOS_HOT_PATH void OnlineCharacterizer::ingest(const trace::Job& job) {
   const double t = job.submit_time;
   if (jobs_ == 0) {
     first_submit_ = t;
@@ -146,9 +148,9 @@ void OnlineCharacterizer::ingest(const trace::Job& job) {
   hourly_[static_cast<std::size_t>(util::hour_of_day(
       t, config_.epoch_unix, config_.utc_offset_hours))] += 1.0;
 
-  auto& user = users_[job.user];
+  UserState& user = util::find_or_insert(users_, job.user)->second;
   ++user.jobs;
-  ++user.groups[group_key(job)];
+  ++util::find_or_insert(user.groups, group_key(job))->second;
   bound_user_groups(user);
   evict_smallest_user();
 
@@ -194,13 +196,16 @@ void OnlineCharacterizer::merge(const OnlineCharacterizer& other) {
   gap_sum_ += other.gap_sum_;
   gap_sum_sq_ += other.gap_sum_sq_;
 
-  for (const auto& [id, theirs] : other.users_) {
-    auto& mine = users_[id];
-    mine.jobs += theirs.jobs;
-    mine.overflow += theirs.overflow;
-    for (const auto& [key, n] : theirs.groups) mine.groups[key] += n;
-    bound_user_groups(mine);
-  }
+  util::merge_into(users_, other.users_,
+                   [this](UserState& mine, const UserState& theirs) {
+                     mine.jobs += theirs.jobs;
+                     mine.overflow += theirs.overflow;
+                     util::merge_into(mine.groups, theirs.groups,
+                                      [](std::uint64_t& a, std::uint64_t b) {
+                                        a += b;
+                                      });
+                     bound_user_groups(mine);
+                   });
   untracked_jobs_ += other.untracked_jobs_;
   evict_smallest_user();
 
@@ -265,16 +270,20 @@ OnlineCharacterizer::Repetition OnlineCharacterizer::repetition(
   if (top_k == 0) return rep;
   double share_sum = 0.0;
   double group_sum = 0.0;
+  std::vector<std::uint64_t> counts;
   for (const auto& [id, user] : users_) {
     if (user.jobs < config_.min_jobs_per_user) continue;
-    std::vector<std::uint64_t> counts;
-    counts.reserve(user.groups.size());
+    counts.clear();
     for (const auto& [key, n] : user.groups) counts.push_back(n);
-    std::sort(counts.begin(), counts.end(), std::greater<>());
+    // Only the top-k set matters: its integer sum does not depend on
+    // the order within it.
+    const auto top_end =
+        counts.begin() +
+        static_cast<std::ptrdiff_t>(std::min(top_k, counts.size()));
+    std::nth_element(counts.begin(), top_end, counts.end(),
+                     std::greater<>());
     std::uint64_t topk_jobs = 0;
-    for (std::size_t i = 0; i < counts.size() && i < top_k; ++i) {
-      topk_jobs += counts[i];
-    }
+    for (auto it = counts.begin(); it != top_end; ++it) topk_jobs += *it;
     share_sum +=
         static_cast<double>(topk_jobs) / static_cast<double>(user.jobs);
     group_sum += static_cast<double>(user.groups.size());
@@ -317,7 +326,7 @@ OnlineCharacterizer::Snapshot OnlineCharacterizer::snapshot() const {
     entry.id = id;
     entry.jobs = user.jobs;
     entry.overflow = user.overflow;
-    entry.groups.assign(user.groups.begin(), user.groups.end());
+    entry.groups = user.groups;
     s.users.push_back(std::move(entry));
   }
   s.untracked_jobs = untracked_jobs_;
@@ -358,6 +367,7 @@ OnlineCharacterizer OnlineCharacterizer::restore(const Snapshot& snapshot) {
   LUMOS_REQUIRE(snapshot.users.size() <= snapshot.config.max_tracked_users,
                 "OnlineCharacterizer::restore: user table exceeds "
                 "max_tracked_users");
+  c.users_.reserve(snapshot.users.size());
   for (const auto& entry : snapshot.users) {
     LUMOS_REQUIRE(entry.groups.size() <= snapshot.config.max_groups_per_user,
                   "OnlineCharacterizer::restore: user group table exceeds "
@@ -365,18 +375,18 @@ OnlineCharacterizer OnlineCharacterizer::restore(const Snapshot& snapshot) {
     UserState user;
     user.jobs = entry.jobs;
     user.overflow = entry.overflow;
+    user.groups = entry.groups;
+    LUMOS_REQUIRE(util::sort_unique_keys(user.groups),
+                  "OnlineCharacterizer::restore: duplicate group key");
     std::uint64_t grouped = entry.overflow;
-    for (const auto& [key, n] : entry.groups) {
-      LUMOS_REQUIRE(user.groups.emplace(key, n).second,
-                    "OnlineCharacterizer::restore: duplicate group key");
-      grouped += n;
-    }
+    for (const auto& [key, n] : user.groups) grouped += n;
     LUMOS_REQUIRE(grouped == entry.jobs,
                   "OnlineCharacterizer::restore: user group counts plus "
                   "overflow must sum to the user's jobs");
-    LUMOS_REQUIRE(c.users_.emplace(entry.id, std::move(user)).second,
-                  "OnlineCharacterizer::restore: duplicate user id");
+    c.users_.emplace_back(entry.id, std::move(user));
   }
+  LUMOS_REQUIRE(util::sort_unique_keys(c.users_),
+                "OnlineCharacterizer::restore: duplicate user id");
   c.untracked_jobs_ = snapshot.untracked_jobs;
   c.open_window_index_ = snapshot.open_window_index;
   c.window_started_ = snapshot.window_started;

@@ -21,7 +21,10 @@
 //     (cores, log-bucketed runtime) configuration groups approximating
 //     the exact "runtime within 10% of the group mean" grouping; capped
 //     at `max_tracked_users` users x `max_groups_per_user` groups with
-//     deterministic smallest-count eviction.
+//     deterministic smallest-count eviction (a tie evicts the first key).
+//     Both tables are flat vectors sorted by key (util/sorted_table.hpp),
+//     so the per-event lookup is a binary search and a snapshot is a
+//     copy.
 //   * tumbling windows — per-`window_seconds` job counts and arrival
 //     rates, so a long-running server can report "current load" next to
 //     the cumulative profile.
@@ -38,7 +41,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,6 +48,7 @@
 #include "obs/report.hpp"
 #include "stats/sketch.hpp"
 #include "trace/job.hpp"
+#include "util/sorted_table.hpp"
 #include "util/time_util.hpp"
 
 namespace lumos::stream {
@@ -208,10 +211,12 @@ class OnlineCharacterizer {
       std::uint32_t id = 0;
       std::uint64_t jobs = 0;
       std::uint64_t overflow = 0;
-      /// (cores, runtime log-bucket) group key -> count, sorted by key.
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> groups;
+      /// (cores, runtime log-bucket) group key -> count, sorted by key;
+      /// restore() also accepts any order.
+      util::SortedTable<std::uint64_t, std::uint64_t> groups;
     };
-    std::vector<UserEntry> users;  ///< sorted by id
+    /// Sorted by id; restore() also accepts any order.
+    std::vector<UserEntry> users;
     std::uint64_t untracked_jobs = 0;
     std::int64_t open_window_index = 0;
     bool window_started = false;
@@ -222,15 +227,16 @@ class OnlineCharacterizer {
   [[nodiscard]] Snapshot snapshot() const;
   /// Rebuilds a characterizer from a snapshot. Throws
   /// lumos::InvalidArgument on inconsistent state (invalid config, sketch
-  /// invariant violations, capacity caps exceeded, duplicate users) so a
-  /// corrupted checkpoint can never restore into silently-wrong state.
+  /// invariant violations, capacity caps exceeded, duplicate users or
+  /// group keys) so a corrupted checkpoint can never restore into
+  /// silently-wrong state.
   [[nodiscard]] static OnlineCharacterizer restore(const Snapshot& snapshot);
 
  private:
   struct UserState {
     std::uint64_t jobs = 0;
-    /// (cores, runtime log-bucket) -> job count.
-    std::map<std::uint64_t, std::uint64_t> groups;
+    /// (cores, runtime log-bucket) -> job count, sorted by key.
+    util::SortedTable<std::uint64_t, std::uint64_t> groups;
     /// Jobs whose group slot was evicted (count toward totals, never
     /// toward a top-k group).
     std::uint64_t overflow = 0;
@@ -261,7 +267,8 @@ class OnlineCharacterizer {
   double gap_sum_ = 0.0;
   double gap_sum_sq_ = 0.0;
 
-  std::map<std::uint32_t, UserState> users_;
+  /// user id -> state, sorted by id.
+  util::SortedTable<std::uint32_t, UserState> users_;
   std::uint64_t untracked_jobs_ = 0;
 
   std::int64_t open_window_index_ = 0;

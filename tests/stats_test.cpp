@@ -609,5 +609,27 @@ TEST(StreamingHistogram, CollapsedStateIsPinned) {
   EXPECT_EQ(fnv1a(snap), 0x02b5d7f4818101bfULL);
 }
 
+TEST(StreamingHistogram, RestoreRejectsDuplicateBucket) {
+  StreamingHistogram hist;
+  for (int i = 1; i <= 100; ++i) hist.insert(static_cast<double>(i));
+  auto snapshot = hist.snapshot();
+  ASSERT_GE(snapshot.buckets.size(), 2u);
+  snapshot.buckets[1].first = snapshot.buckets[0].first;
+  EXPECT_THROW((void)StreamingHistogram::restore(snapshot), InvalidArgument);
+}
+
+TEST(StreamingHistogram, RestoreAcceptsBucketsInAnyOrder) {
+  StreamingHistogram hist;
+  util::Rng data(62);
+  for (int i = 0; i < 5000; ++i) hist.insert(data.lognormal(4.0, 2.0));
+  const auto sorted = hist.snapshot();
+  auto shuffled = sorted;
+  data.shuffle(shuffled.buckets);
+  ASSERT_NE(shuffled.buckets, sorted.buckets);
+  const auto restored = StreamingHistogram::restore(shuffled).snapshot();
+  EXPECT_EQ(restored.buckets, sorted.buckets);
+  EXPECT_EQ(fnv1a(restored), fnv1a(sorted));
+}
+
 }  // namespace
 }  // namespace lumos::stats

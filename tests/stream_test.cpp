@@ -607,6 +607,60 @@ TEST(Snapshot, EvictionStateIsPinned) {
   EXPECT_EQ(fnv1a(to_json(snap).dump()), 0xa661f2c49c11971cULL);
 }
 
+// A characterizer with dozens of users, several groups per user, and
+// hundreds of histogram buckets, for the restore-boundary tests below.
+OnlineCharacterizer::Snapshot table_snapshot() {
+  util::Rng rng(78);
+  OnlineCharacterizer chr;
+  double t = 0.0;
+  for (int i = 0; i < 3000; ++i) {
+    t += rng.exponential(1.0 / 30.0);
+    chr.ingest(eviction_job(rng, t));
+  }
+  return chr.snapshot();
+}
+
+TEST(Snapshot, DuplicateTableKeysAreRejectedOnRestore) {
+  const auto snap = table_snapshot();
+  ASSERT_GE(snap.users.size(), 2u);
+  ASSERT_GE(snap.users[0].groups.size(), 2u);
+  ASSERT_GE(snap.runtime_histogram.buckets.size(), 2u);
+
+  auto duplicate_user = snap;
+  duplicate_user.users[1].id = duplicate_user.users[0].id;
+  EXPECT_THROW((void)OnlineCharacterizer::restore(duplicate_user),
+               InvalidArgument);
+
+  auto duplicate_group = snap;
+  auto& groups = duplicate_group.users[0].groups;
+  groups[1].first = groups[0].first;
+  EXPECT_THROW((void)OnlineCharacterizer::restore(duplicate_group),
+               InvalidArgument);
+
+  auto duplicate_bucket = snap;
+  auto& buckets = duplicate_bucket.runtime_histogram.buckets;
+  buckets[1].first = buckets[0].first;
+  EXPECT_THROW((void)OnlineCharacterizer::restore(duplicate_bucket),
+               InvalidArgument);
+}
+
+TEST(Snapshot, ShuffledTablesRestoreToTheSortedState) {
+  // A snapshot lists users, groups and buckets in key order, but restore
+  // must not depend on it: a shuffled snapshot restores to the same
+  // state as the sorted original.
+  const auto snap = table_snapshot();
+  auto shuffled = snap;
+  util::Rng rng(79);
+  rng.shuffle(shuffled.users);
+  for (auto& user : shuffled.users) rng.shuffle(user.groups);
+  rng.shuffle(shuffled.runtime_histogram.buckets);
+  const std::string sorted_json = to_json(snap).dump();
+  ASSERT_NE(to_json(shuffled).dump(), sorted_json);
+
+  const auto restored = OnlineCharacterizer::restore(shuffled);
+  EXPECT_EQ(to_json(restored.snapshot()).dump(), sorted_json);
+}
+
 // ---- checkpoints ---------------------------------------------------------
 
 class CheckpointTest : public ::testing::Test {
