@@ -8,7 +8,7 @@
 //
 // Layering (each header is usable on its own):
 //   util    — rng, csv, tables, thread pool
-//   stats   — ecdf, histograms, kde/violin, correlation
+//   stats   — descriptive stats, ecdf, kde/violin, quantile sketches
 //   trace   — Job/Trace model, SWF + CSV parsers, system specs, validation
 //   synth   — calibrated per-system workload generators
 //   sim     — discrete-event scheduling simulator (policies + backfilling)
@@ -36,5 +36,4 @@
 #include "synth/generator.hpp"
 #include "trace/csv_formats.hpp"
 #include "trace/swf.hpp"
-#include "trace/transform.hpp"
 #include "trace/validate.hpp"

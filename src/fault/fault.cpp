@@ -36,13 +36,6 @@ std::string to_string(RetryPolicy policy) {
   return "unknown";
 }
 
-RetryPolicy retry_policy_from_string(std::string_view name) {
-  if (name == "resubmit") return RetryPolicy::Resubmit;
-  if (name == "requeue_front") return RetryPolicy::RequeueFront;
-  if (name == "abandon") return RetryPolicy::Abandon;
-  throw InvalidArgument("unknown retry policy: " + std::string(name));
-}
-
 FaultProcess::FaultProcess(
     const FaultConfig& config,
     std::span<const std::uint64_t> partition_capacities)

@@ -19,7 +19,6 @@
 #include <queue>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -34,7 +33,6 @@ enum class RetryPolicy {
 };
 
 [[nodiscard]] std::string to_string(RetryPolicy policy);
-[[nodiscard]] RetryPolicy retry_policy_from_string(std::string_view name);
 
 /// Fault-injection parameters. The default (node_mtbf_s == 0) disables the
 /// process entirely, which the simulator treats as "fault-free world".

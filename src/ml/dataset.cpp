@@ -1,40 +1,10 @@
 #include "ml/dataset.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
 
 namespace lumos::ml {
-
-Split chronological_split(const Dataset& data, double train_fraction) {
-  LUMOS_REQUIRE(train_fraction > 0.0 && train_fraction < 1.0,
-                "train_fraction must be in (0,1)");
-  const std::size_t n = data.size();
-  const std::size_t n_train = std::max<std::size_t>(
-      1, static_cast<std::size_t>(static_cast<double>(n) * train_fraction));
-  Split split;
-  split.train.feature_names = data.feature_names;
-  split.test.feature_names = data.feature_names;
-  split.train.x = Matrix(n_train, data.dims());
-  split.train.y.assign(data.y.begin(),
-                       data.y.begin() + static_cast<std::ptrdiff_t>(n_train));
-  const std::size_t n_test = n - n_train;
-  split.test.x = Matrix(n_test, data.dims());
-  split.test.y.assign(data.y.begin() + static_cast<std::ptrdiff_t>(n_train),
-                      data.y.end());
-  for (std::size_t i = 0; i < n_train; ++i) {
-    for (std::size_t j = 0; j < data.dims(); ++j) {
-      split.train.x(i, j) = data.x(i, j);
-    }
-  }
-  for (std::size_t i = 0; i < n_test; ++i) {
-    for (std::size_t j = 0; j < data.dims(); ++j) {
-      split.test.x(i, j) = data.x(n_train + i, j);
-    }
-  }
-  return split;
-}
 
 Standardizer::Standardizer(const Matrix& x) {
   const std::size_t n = x.rows();

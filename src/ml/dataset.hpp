@@ -1,6 +1,5 @@
 // Tabular datasets for the prediction models: feature matrix + target,
-// chronological splitting (train on the past, predict the future — the
-// protocol runtime predictors must follow), and z-score standardisation.
+// and z-score standardisation.
 #pragma once
 
 #include <cstddef>
@@ -20,15 +19,6 @@ struct Dataset {
   [[nodiscard]] std::size_t size() const noexcept { return y.size(); }
   [[nodiscard]] std::size_t dims() const noexcept { return x.cols(); }
 };
-
-/// Chronological split: first `train_fraction` rows train, rest test.
-/// (Rows are assumed already in time order.)
-struct Split {
-  Dataset train;
-  Dataset test;
-};
-[[nodiscard]] Split chronological_split(const Dataset& data,
-                                        double train_fraction);
 
 /// Per-feature standardisation fitted on one dataset, applied to others.
 class Standardizer {

@@ -9,46 +9,6 @@ namespace lumos::ml {
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
-Matrix Matrix::transpose() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  }
-  return t;
-}
-
-Matrix Matrix::multiply(const Matrix& other) const {
-  LUMOS_REQUIRE(cols_ == other.rows_, "matrix multiply shape mismatch");
-  Matrix out(rows_, other.cols_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double a = (*this)(i, k);
-      if (a == 0.0) continue;
-      for (std::size_t j = 0; j < other.cols_; ++j) {
-        out(i, j) += a * other(k, j);
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<double> Matrix::multiply(std::span<const double> v) const {
-  LUMOS_REQUIRE(cols_ == v.size(), "matrix-vector shape mismatch");
-  std::vector<double> out(rows_, 0.0);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    double s = 0.0;
-    for (std::size_t j = 0; j < cols_; ++j) s += (*this)(i, j) * v[j];
-    out[i] = s;
-  }
-  return out;
-}
-
 std::vector<double> cholesky_solve(Matrix a, std::vector<double> b) {
   const std::size_t n = a.rows();
   LUMOS_REQUIRE(a.cols() == n && b.size() == n,

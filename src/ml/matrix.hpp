@@ -13,8 +13,6 @@ class Matrix {
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
-  static Matrix identity(std::size_t n);
-
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
 
@@ -32,10 +30,6 @@ class Matrix {
   [[nodiscard]] std::span<double> row(std::size_t r) noexcept {
     return {data_.data() + r * cols_, cols_};
   }
-
-  [[nodiscard]] Matrix transpose() const;
-  [[nodiscard]] Matrix multiply(const Matrix& other) const;
-  [[nodiscard]] std::vector<double> multiply(std::span<const double> v) const;
 
  private:
   std::size_t rows_ = 0;

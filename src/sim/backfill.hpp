@@ -46,9 +46,6 @@ struct BackfillConfig {
   /// Base relaxation factor (the paper discusses 10%/20%; default 10%).
   double relax_factor = 0.10;
   AdaptiveShape adaptive_shape = AdaptiveShape::Linear;
-  /// Cap on how many queued jobs one scheduling pass scans for backfill
-  /// candidates (guards O(n^2) blowup on pathological backlogs).
-  std::size_t scan_limit = 2000;
 };
 
 /// The effective relaxation allowance factor for the current queue state.

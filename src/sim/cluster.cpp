@@ -37,10 +37,6 @@ Cluster Cluster::from_spec(const trace::SystemSpec& spec) {
   return Cluster(std::move(parts));
 }
 
-std::uint64_t Cluster::total_free() const noexcept {
-  return std::accumulate(free_.begin(), free_.end(), std::uint64_t{0});
-}
-
 bool Cluster::allocate(std::uint64_t cores, std::size_t p) noexcept {
   if (p >= free_.size() || cores > free_[p]) return false;
   free_[p] -= cores;

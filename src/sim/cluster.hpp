@@ -38,7 +38,6 @@ class Cluster {
   [[nodiscard]] std::uint64_t free(std::size_t p = 0) const noexcept {
     return free_[p];
   }
-  [[nodiscard]] std::uint64_t total_free() const noexcept;
   /// Cores on failed nodes: neither free nor allocated.
   [[nodiscard]] std::uint64_t offline(std::size_t p = 0) const noexcept {
     return offline_[p];

@@ -24,6 +24,15 @@ namespace {
 
 constexpr double kEps = 1e-6;
 
+/// EMA smoothing for the expected-wait reference used by relaxed
+/// backfilling allowances.
+constexpr double kWaitEmaAlpha = 0.01;
+
+/// Cap on how many queued jobs one scheduling pass scans for backfill
+/// candidates: every scanned candidate is checked against the profile, so
+/// an uncapped scan is O(n^2) per pass on a pathological backlog.
+constexpr std::size_t kBackfillScanLimit = 2000;
+
 /// Policies whose score depends on the current waiting time. Their queue
 /// order can change as time advances even without arrivals, so the
 /// incremental sort must also refresh when `now` moves.
@@ -326,8 +335,8 @@ class SimEngine {
       cache.profile.reserve(now_, r.planned_end, r.cores);
     }
     const double wait = now_ - jobs_.submit(idx);
-    ema_wait_ = ema_init_ ? (1.0 - config_.wait_ema_alpha) * ema_wait_ +
-                                config_.wait_ema_alpha * wait
+    ema_wait_ = ema_init_ ? (1.0 - kWaitEmaAlpha) * ema_wait_ +
+                                kWaitEmaAlpha * wait
                           : wait;
     ema_init_ = true;
   }
@@ -417,7 +426,7 @@ class SimEngine {
       work_profile_ = ensure_profile(part);
       to_start_.clear();
       const std::size_t scan =
-          std::min(queue.size(), config_.backfill.scan_limit);
+          std::min(queue.size(), kBackfillScanLimit);
       for (std::size_t qi = 0; qi < scan; ++qi) {
         if (qi > 0) ++counters_->backfill_attempts;
         const std::uint32_t idx = queue[qi];
@@ -494,7 +503,7 @@ class SimEngine {
         head_outcome.first_reservation + eff_factor * reference_wait;
 
     const std::size_t scan =
-        std::min(queue.size(), config_.backfill.scan_limit);
+        std::min(queue.size(), kBackfillScanLimit);
     to_start_.clear();
     std::uint64_t committed = 0;  // cores promised to accepted backfills
     for (std::size_t qi = 1; qi < scan; ++qi) {
@@ -546,10 +555,6 @@ class SimEngine {
     }
     result_.max_queue_length =
         std::max(result_.max_queue_length, total_queued_);
-    if (config_.record_queue_series) {
-      result_.queue_series.push_back(
-          {now_, static_cast<std::uint32_t>(total_queued_)});
-    }
     audit();
   }
 
@@ -846,7 +851,8 @@ LUMOS_HOT_PATH SimResult SimEngine::run() {
       if (dag_on_) {
         // The winner's completion satisfies one parent edge per child;
         // children whose last parent this was are released below, after
-        // the batch drains (sorted, so release order is backend-agnostic).
+        // the batch drains, sorted by job index so the release order does
+        // not depend on the order completions left the event queue.
         for (const std::uint32_t* c = jobs_.children_begin(r.index);
              c != jobs_.children_end(r.index); ++c) {
           if (--jobs_.unmet_parents(*c) == 0 &&
@@ -931,21 +937,11 @@ LUMOS_HOT_PATH SimResult SimEngine::run() {
 
 }  // namespace
 
-Simulator::Simulator(const trace::Trace& trace, SimConfig config)
-    : trace_(trace), config_(config) {
-  LUMOS_REQUIRE(trace.is_sorted_by_submit(),
-                "Simulator requires a submit-sorted trace");
-}
-
-SimResult Simulator::run() {
-  SimEngine engine(trace_, config_);
-  return engine.run();
-}
-
 SimResult simulate(const trace::Trace& trace, const SimConfig& config,
                    obs::Registry& registry) {
-  Simulator sim(trace, config);
-  SimResult result = sim.run();
+  LUMOS_REQUIRE(trace.is_sorted_by_submit(),
+                "simulate requires a submit-sorted trace");
+  SimResult result = SimEngine(trace, config).run();
   // Publish the event-loop counters; deterministic for deterministic input.
   const SimCounters& c = result.counters;
   registry.counter("sim.events").add(c.events);

@@ -51,14 +51,12 @@ struct HedgeConfig {
 
 struct SimConfig {
   PolicyKind policy = PolicyKind::Fcfs;
+  /// Backfill strategy. The scan cap per scheduling pass and the EMA
+  /// smoothing of the relaxed-allowance wait reference are constants
+  /// (kBackfillScanLimit, kWaitEmaAlpha in simulator.cpp).
   BackfillConfig backfill;
   /// Bounded-slowdown interactive threshold (Feitelson), seconds.
   double bsld_bound = 10.0;
-  /// Record the queue-length time series (one sample per scheduling pass).
-  bool record_queue_series = false;
-  /// EMA smoothing for the expected-wait reference used by relaxed
-  /// backfilling allowances.
-  double wait_ema_alpha = 0.01;
   /// Run the SimAuditor after every event: core accounting, queue
   /// accounting, queued/running disjointness, and incremental-profile
   /// equivalence (see DESIGN.md "Event-loop invariants"). Costs O(state)
@@ -156,15 +154,8 @@ struct JobOutcome {
   [[nodiscard]] bool operator==(const JobOutcome&) const = default;
 };
 
-struct QueueSample {
-  double time = 0.0;
-  std::uint32_t length = 0;
-  [[nodiscard]] bool operator==(const QueueSample&) const = default;
-};
-
 struct SimResult {
   std::vector<JobOutcome> outcomes;     ///< per input-trace job
-  std::vector<QueueSample> queue_series;
   std::size_t max_queue_length = 0;
   std::size_t backfilled_jobs = 0;
   std::size_t skipped_oversized = 0;    ///< jobs larger than any partition
@@ -179,26 +170,15 @@ struct SimResult {
   std::size_t abandoned_jobs = 0;
   std::size_t hedged_jobs = 0;          ///< distinct jobs that got a duplicate
   SimCounters counters;                 ///< event-loop instrumentation
-  /// Field-for-field (bit-exact for doubles) — the backend-equivalence
-  /// and shard-identity tests compare entire results with this.
+  /// Field-for-field (bit-exact for doubles) — the shard-identity tests
+  /// compare entire results with this.
   [[nodiscard]] bool operator==(const SimResult&) const = default;
 };
 
-class Simulator {
- public:
-  Simulator(const trace::Trace& trace, SimConfig config);
-
-  /// Runs to completion. Deterministic for a given (trace, config).
-  [[nodiscard]] SimResult run();
-
- private:
-  const trace::Trace& trace_;
-  SimConfig config_;
-};
-
-/// Convenience wrapper: simulate, publishing event-loop counters to the
+/// Runs `trace` (which must be sorted by submit time; InvalidArgument
+/// otherwise) to completion, publishing event-loop counters to the
 /// global obs registry (metrics are computed separately via
-/// sim::compute_metrics).
+/// sim::compute_metrics). Deterministic for a given (trace, config).
 [[nodiscard]] SimResult simulate(const trace::Trace& trace,
                                  const SimConfig& config);
 

@@ -74,14 +74,4 @@ std::string to_string(const Summary& s) {
       s.max);
 }
 
-double geometric_mean(std::span<const double> xs) noexcept {
-  if (xs.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double x : xs) {
-    if (x <= 0.0) return 0.0;
-    log_sum += std::log(x);
-  }
-  return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
 }  // namespace lumos::stats

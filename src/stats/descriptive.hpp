@@ -63,7 +63,4 @@ struct Summary {
 /// Renders "n=... mean=... p50=..." for reports.
 [[nodiscard]] std::string to_string(const Summary& s);
 
-/// Geometric mean of strictly positive samples (0 when any is <= 0).
-[[nodiscard]] double geometric_mean(std::span<const double> xs) noexcept;
-
 }  // namespace lumos::stats

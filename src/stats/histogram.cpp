@@ -1,64 +1,8 @@
 #include "stats/histogram.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "util/error.hpp"
 #include "util/time_util.hpp"
 
 namespace lumos::stats {
-
-Histogram::Histogram(double lo, double hi, std::size_t bins, bool log_scale)
-    : lo_(lo), hi_(hi), log_scale_(log_scale), counts_(bins, 0.0) {
-  LUMOS_REQUIRE(bins >= 1, "histogram needs at least one bin");
-  LUMOS_REQUIRE(hi > lo, "histogram upper edge must exceed lower edge");
-  if (log_scale) {
-    LUMOS_REQUIRE(lo > 0.0, "log histogram lower edge must be positive");
-  }
-}
-
-Histogram Histogram::linear(double lo, double hi, std::size_t bins) {
-  return Histogram(lo, hi, bins, /*log_scale=*/false);
-}
-
-Histogram Histogram::logarithmic(double lo, double hi, std::size_t bins) {
-  return Histogram(lo, hi, bins, /*log_scale=*/true);
-}
-
-void Histogram::add(double x, double weight) noexcept {
-  double pos;
-  if (log_scale_) {
-    const double clamped = std::max(x, lo_);
-    pos = (std::log10(clamped) - std::log10(lo_)) /
-          (std::log10(hi_) - std::log10(lo_));
-  } else {
-    pos = (x - lo_) / (hi_ - lo_);
-  }
-  auto idx = static_cast<std::ptrdiff_t>(pos * static_cast<double>(bins()));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(bins()) - 1);
-  counts_[static_cast<std::size_t>(idx)] += weight;
-  total_ += weight;
-}
-
-void Histogram::add_all(std::span<const double> xs) noexcept {
-  for (double x : xs) add(x);
-}
-
-double Histogram::bin_lo(std::size_t i) const noexcept {
-  const double f = static_cast<double>(i) / static_cast<double>(bins());
-  if (log_scale_) {
-    return std::pow(10.0, std::log10(lo_) +
-                              f * (std::log10(hi_) - std::log10(lo_)));
-  }
-  return lo_ + f * (hi_ - lo_);
-}
-
-double Histogram::bin_hi(std::size_t i) const noexcept { return bin_lo(i + 1); }
-
-double Histogram::fraction(std::size_t i) const noexcept {
-  return total_ > 0.0 ? counts_[i] / total_ : 0.0;
-}
 
 std::vector<double> hourly_counts(std::span<const double> submit_times,
                                   long long epoch_unix,

@@ -1,58 +1,13 @@
-// Linear- and log-spaced histograms.
+// Hour-of-day arrival counts.
 //
-// The hourly-arrival profile (Fig 1b bottom) is a 24-bin linear histogram;
-// runtime/size distributions use log-spaced bins because both span 5+
-// decades on every system in the study.
+// The hourly-arrival profile (Fig 1b bottom) is a 24-bin count of submit
+// times by local hour of day.
 #pragma once
 
 #include <span>
-#include <string>
 #include <vector>
 
 namespace lumos::stats {
-
-class Histogram {
- public:
-  /// Linear bins over [lo, hi) (values outside are clamped into the edge
-  /// bins). `bins` must be >= 1 and hi > lo.
-  static Histogram linear(double lo, double hi, std::size_t bins);
-
-  /// Log10-spaced bins over [lo, hi); lo must be > 0.
-  static Histogram logarithmic(double lo, double hi, std::size_t bins);
-
-  /// Adds one observation with the given weight.
-  void add(double x, double weight = 1.0) noexcept;
-
-  /// Adds a whole sample.
-  void add_all(std::span<const double> xs) noexcept;
-
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  /// Inclusive lower edge of bin i.
-  [[nodiscard]] double bin_lo(std::size_t i) const noexcept;
-  /// Exclusive upper edge of bin i.
-  [[nodiscard]] double bin_hi(std::size_t i) const noexcept;
-  /// Weighted count in bin i.
-  [[nodiscard]] double count(std::size_t i) const noexcept {
-    return counts_[i];
-  }
-  /// Total weight.
-  [[nodiscard]] double total() const noexcept { return total_; }
-  /// count(i)/total(), or 0 when empty.
-  [[nodiscard]] double fraction(std::size_t i) const noexcept;
-
-  /// All weighted counts.
-  [[nodiscard]] std::span<const double> counts() const noexcept {
-    return counts_;
-  }
-
- private:
-  Histogram(double lo, double hi, std::size_t bins, bool log_scale);
-
-  double lo_, hi_;
-  bool log_scale_;
-  std::vector<double> counts_;
-  double total_ = 0.0;
-};
 
 /// Counts per local hour-of-day (24 bins) — the Fig 1b bottom panel.
 [[nodiscard]] std::vector<double> hourly_counts(

@@ -30,46 +30,34 @@ double kde_density(std::span<const double> xs, double x,
   return sum * norm;
 }
 
-namespace {
-ViolinSummary violin_impl(std::vector<double> xs, std::size_t points,
-                          bool log_space) {
-  ViolinSummary v;
-  v.count = xs.size();
-  if (xs.empty() || points < 2) return v;
-  const auto [mn_it, mx_it] = std::minmax_element(xs.begin(), xs.end());
-  double lo = *mn_it;
-  double hi = *mx_it;
-  if (hi <= lo) hi = lo + 1.0;
-  v.bandwidth = scott_bandwidth(xs);
-  v.grid.resize(points);
-  v.density.resize(points);
-  double best = -1.0;
-  for (std::size_t i = 0; i < points; ++i) {
-    const double f = static_cast<double>(i) / static_cast<double>(points - 1);
-    const double g = lo + f * (hi - lo);
-    v.grid[i] = log_space ? std::pow(10.0, g) : g;
-    v.density[i] = kde_density(xs, g, v.bandwidth);
-    if (v.density[i] > best) {
-      best = v.density[i];
-      v.mode = v.grid[i];
-    }
-  }
-  return v;
-}
-}  // namespace
-
-ViolinSummary violin(std::span<const double> xs, std::size_t points) {
-  return violin_impl(std::vector<double>(xs.begin(), xs.end()), points,
-                     /*log_space=*/false);
-}
-
 ViolinSummary violin_log(std::span<const double> xs, std::size_t points) {
   std::vector<double> logs;
   logs.reserve(xs.size());
   for (double x : xs) {
     if (x > 0.0) logs.push_back(std::log10(x));
   }
-  return violin_impl(std::move(logs), points, /*log_space=*/true);
+  ViolinSummary v;
+  v.count = logs.size();
+  if (logs.empty() || points < 2) return v;
+  const auto [mn_it, mx_it] = std::minmax_element(logs.begin(), logs.end());
+  double lo = *mn_it;
+  double hi = *mx_it;
+  if (hi <= lo) hi = lo + 1.0;
+  v.bandwidth = scott_bandwidth(logs);
+  v.grid.resize(points);
+  v.density.resize(points);
+  double best = -1.0;
+  for (std::size_t i = 0; i < points; ++i) {
+    const double f = static_cast<double>(i) / static_cast<double>(points - 1);
+    const double g = lo + f * (hi - lo);
+    v.grid[i] = std::pow(10.0, g);
+    v.density[i] = kde_density(logs, g, v.bandwidth);
+    if (v.density[i] > best) {
+      best = v.density[i];
+      v.mode = v.grid[i];
+    }
+  }
+  return v;
 }
 
 }  // namespace lumos::stats

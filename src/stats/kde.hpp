@@ -26,11 +26,6 @@ struct ViolinSummary {
 [[nodiscard]] double kde_density(std::span<const double> xs, double x,
                                  double bandwidth) noexcept;
 
-/// Violin over raw values on a linear grid of `points` between sample
-/// min and max.
-[[nodiscard]] ViolinSummary violin(std::span<const double> xs,
-                                   std::size_t points = 64);
-
 /// Violin in log10 space (for runtimes spanning decades). Non-positive
 /// samples are dropped; the returned grid is in original units.
 [[nodiscard]] ViolinSummary violin_log(std::span<const double> xs,

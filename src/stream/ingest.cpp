@@ -1,7 +1,6 @@
 #include "stream/ingest.hpp"
 
 #include <chrono>
-#include <istream>
 #include <memory>
 #include <string_view>
 #include <thread>
@@ -84,12 +83,17 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Shared per-line ingest state: counters, cadence, report + checkpoint
+/// Per-line ingest state: counters, cadence, report + checkpoint
 /// emission, the source cursor, and the watchdog clocks.
 class Ingestor {
  public:
-  Ingestor(const IngestOptions& options, CheckpointLoad restored)
-      : options_(options), start_(Clock::now()) {
+  /// `fingerprintable`: whether checkpoints may fingerprint input_path
+  /// (a seekable regular file only).
+  Ingestor(const IngestOptions& options, CheckpointLoad restored,
+           bool fingerprintable)
+      : options_(options),
+        start_(Clock::now()),
+        fingerprintable_(fingerprintable) {
     parse_opts_.origin =
         options_.input_path == "-" ? "stdin" : options_.input_path;
     if (restored.checkpoint) {
@@ -240,24 +244,12 @@ class Ingestor {
   Clock::time_point start_;
   Clock::time_point last_event_;
   Clock::time_point last_checkpoint_;
+  bool fingerprintable_;
   bool unstamped_events_ = false;
   bool stall_warned_ = false;
-
- public:
-  /// Whether checkpoints may fingerprint input_path (regular file only).
-  bool fingerprintable_ = false;
 };
 
 }  // namespace
-
-IngestResult ingest_stream(std::istream& in, const IngestOptions& options) {
-  Ingestor ingestor(options, CheckpointLoad{});
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!ingestor.feed(line)) break;
-  }
-  return ingestor.finish();
-}
 
 IngestResult run_ingest(const IngestOptions& options) {
   if (options.handle_signals) util::install_shutdown_signals();
@@ -290,8 +282,7 @@ IngestResult run_ingest(const IngestOptions& options) {
     }
   }
 
-  Ingestor ingestor(options, std::move(restored));
-  ingestor.fingerprintable_ = source.seekable();
+  Ingestor ingestor(options, std::move(restored), source.seekable());
 
   std::string carry;
   std::string chunk(1 << 16, '\0');

@@ -48,7 +48,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 
 #include "obs/report.hpp"
@@ -135,19 +134,14 @@ struct IngestResult {
   double checkpoint_age_s = 0.0;
 };
 
-/// Runs the ingest loop over an already-open stream (no follow mode —
-/// reads to EOF or max_events). The deterministic core of run_ingest;
-/// tests drive this overload directly. Checkpoint *writing* works here
-/// (cadence tests); resume/seek needs run_ingest over a real file.
-[[nodiscard]] IngestResult ingest_stream(std::istream& in,
-                                         const IngestOptions& options);
-
 /// Opens `options.input_path` (file, FIFO, or "-") through the
 /// EventSource seam and runs the loop, honoring follow mode, checkpoints,
-/// and graceful shutdown. Throws SourceError when the source cannot be
-/// opened (after retries), ParseError when the bad-row budget is
-/// exhausted, and InvalidArgument when a checkpoint cursor does not match
-/// the input (fingerprint mismatch — see stream/checkpoint.hpp).
+/// and graceful shutdown. The source is read in 64 KiB chunks; a row
+/// split across two chunks is ingested once, and a final row without a
+/// newline is ingested at end of stream. Throws SourceError when the
+/// source cannot be opened (after retries), ParseError when the bad-row
+/// budget is exhausted, and InvalidArgument when a checkpoint cursor does
+/// not match the input (fingerprint mismatch — see stream/checkpoint.hpp).
 [[nodiscard]] IngestResult run_ingest(const IngestOptions& options);
 
 /// Builds the schema-versioned report document for a characterizer state

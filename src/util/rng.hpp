@@ -1,7 +1,7 @@
 // Deterministic random number generation for reproducible experiments.
 //
 // All stochastic components in lumos (workload synthesis, ML initialisation,
-// bootstrap resampling) draw from `Rng`, a thin wrapper around
+// row subsampling) draw from `Rng`, a thin wrapper around
 // xoshiro256** seeded via splitmix64. A given seed therefore reproduces a
 // whole experiment bit-for-bit across runs and platforms, which is the
 // property the paper's simulation methodology depends on.

@@ -49,10 +49,6 @@ std::optional<long long> parse_int(std::string_view s) noexcept {
   return value;
 }
 
-bool starts_with(std::string_view s, std::string_view prefix) noexcept {
-  return s.substr(0, prefix.size()) == prefix;
-}
-
 std::string to_lower(std::string_view s) {
   std::string out(s);
   for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));

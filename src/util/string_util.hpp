@@ -21,10 +21,6 @@ namespace lumos::util {
 /// Parses a signed 64-bit integer; returns nullopt on failure.
 [[nodiscard]] std::optional<long long> parse_int(std::string_view s) noexcept;
 
-/// True when `s` starts with `prefix`.
-[[nodiscard]] bool starts_with(std::string_view s,
-                               std::string_view prefix) noexcept;
-
 /// Lower-cases ASCII.
 [[nodiscard]] std::string to_lower(std::string_view s);
 

@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "core/lumos.hpp"
-#include "stats/histogram.hpp"
 #include "stats/kde.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -39,19 +38,10 @@ TEST(EcdfEdge, SinglePointCurve) {
   EXPECT_DOUBLE_EQ(f.quantile(0.37), 42.0);
 }
 
-TEST(HistogramEdge, WeightedCounts) {
-  auto h = stats::Histogram::linear(0.0, 10.0, 2);
-  h.add(1.0, 2.5);
-  h.add(9.0, 0.5);
-  EXPECT_DOUBLE_EQ(h.count(0), 2.5);
-  EXPECT_DOUBLE_EQ(h.total(), 3.0);
-  EXPECT_NEAR(h.fraction(1), 0.5 / 3.0, 1e-12);
-}
-
 TEST(KdeEdge, ConstantSampleHasFallbackBandwidth) {
   const std::vector<double> xs{5.0, 5.0, 5.0, 5.0};
   EXPECT_DOUBLE_EQ(stats::scott_bandwidth(xs), 1.0);
-  const auto v = stats::violin(xs, 8);
+  const auto v = stats::violin_log(xs, 8);
   EXPECT_EQ(v.count, 4u);
   EXPECT_GT(v.density[0], 0.0);
 }

@@ -1,5 +1,5 @@
 // DAG precedence, straggler hedging, and event-queue cancellation tests
-// (DESIGN.md §4h): tombstone churn bit-identity across queue backends,
+// (DESIGN.md §4h): tombstone churn against a sorted model,
 // typed DAG validation errors, topological release on hand-crafted
 // workflows with exactly known outcomes, hedge win/lose/denied
 // lifecycles, fault x hedging composition under aggressive MTBF, the
@@ -176,9 +176,7 @@ TEST(DagValidation, RejectsCycle) {
 
 TEST(DagValidation, SimulatorRejectsCyclicTraces) {
   auto t = make_trace(4, {job(0, 0, 10, 1, {1}), job(1, 0, 10, 1, {0})});
-  sim::SimConfig config;
-  sim::Simulator simulator(t, config);
-  EXPECT_THROW((void)simulator.run(), InvalidArgument);
+  EXPECT_THROW((void)sim::simulate(t, sim::SimConfig{}), InvalidArgument);
 }
 
 // Property: every generated workflow trace validates, parents precede

@@ -167,17 +167,6 @@ TEST(FaultConfig, DisabledByDefault) {
   EXPECT_FALSE(on.enabled());
 }
 
-TEST(RetryPolicy, RoundTripsThroughStrings) {
-  for (const auto policy :
-       {fault::RetryPolicy::Resubmit, fault::RetryPolicy::RequeueFront,
-        fault::RetryPolicy::Abandon}) {
-    EXPECT_EQ(fault::retry_policy_from_string(fault::to_string(policy)),
-              policy);
-  }
-  EXPECT_THROW((void)fault::retry_policy_from_string("nonsense"),
-               InvalidArgument);
-}
-
 // ---------------------------------------- degraded-capacity accounting --
 
 TEST(Cluster, FailRecoverAccounting) {

@@ -1,12 +1,11 @@
 // Structural lumos_lint passes on fixture trees: layer DAG parsing,
-// include-graph analysis (cycles, inversions, .cpp includes), the
-// LUMOS_HOT_PATH body scanner, and the baseline ratchet.
+// include-graph analysis (cycles, inversions, .cpp includes), and the
+// LUMOS_HOT_PATH and LUMOS_SIGNAL_HANDLER body scanners.
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "lint/baseline.hpp"
 #include "lint/hotpath.hpp"
 #include "lint/lint.hpp"
 #include "lint/structure.hpp"
@@ -320,94 +319,6 @@ TEST(SignalHandler, DefinitionSiteIsExempt) {
       "util/annotations.hpp",
       "LUMOS_SIGNAL_HANDLER void would_fail() { throw 1; }\n");
   EXPECT_TRUE(diags.empty());
-}
-
-// ----------------------------------------------------------- baseline --
-
-TEST(Baseline, JsonRoundTrip) {
-  std::vector<lint::Diagnostic> diags = {
-      {"sim/a.cpp", 10, "hot-alloc", "m"},
-      {"sim/a.cpp", 20, "hot-alloc", "m"},
-      {"util/b.hpp", 5, "layer-inversion", "m"},
-  };
-  const auto baseline = lint::baseline_from(diags);
-  const auto parsed = lint::baseline_from_json(lint::to_json(baseline));
-  EXPECT_EQ(parsed.pinned, baseline.pinned);
-  EXPECT_EQ(parsed.pinned.at({"sim/a.cpp", "hot-alloc"}), 2);
-}
-
-TEST(Baseline, RejectsMalformedDocuments) {
-  EXPECT_THROW((void)lint::baseline_from_json("{}"), lumos::InvalidArgument);
-  EXPECT_THROW(
-      (void)lint::baseline_from_json(R"({"schema_version": 2, "pinned": []})"),
-      lumos::InvalidArgument);
-  EXPECT_THROW((void)lint::baseline_from_json(
-                   R"({"schema_version": 1,
-                       "pinned": [{"file": "a", "rule": "r", "count": 0}]})"),
-               lumos::InvalidArgument);
-}
-
-TEST(Ratchet, FreshFindingsFailPinnedOnesPass) {
-  std::vector<lint::Diagnostic> old_diags = {
-      {"sim/a.cpp", 10, "hot-alloc", "m"}};
-  const auto baseline = lint::baseline_from(old_diags);
-
-  // Same findings → clean.
-  auto result = lint::ratchet(old_diags, baseline);
-  EXPECT_TRUE(result.clean());
-  EXPECT_EQ(result.pinned.size(), 1u);
-
-  // One more finding of the pinned (file, rule) → exactly one fresh.
-  std::vector<lint::Diagnostic> more = {
-      {"sim/a.cpp", 10, "hot-alloc", "m"},
-      {"sim/a.cpp", 99, "hot-alloc", "m"},
-  };
-  result = lint::ratchet(more, baseline);
-  EXPECT_FALSE(result.clean());
-  ASSERT_EQ(result.fresh.size(), 1u);
-  EXPECT_EQ(result.fresh[0].line, 99);  // the later finding is the fresh one
-
-  // A different rule in the same file is fresh even though the file is
-  // mentioned in the baseline.
-  std::vector<lint::Diagnostic> other_rule = {
-      {"sim/a.cpp", 10, "hot-throw", "m"}};
-  result = lint::ratchet(other_rule, baseline);
-  EXPECT_EQ(result.fresh.size(), 1u);
-}
-
-TEST(Ratchet, FixedFindingsReportStalePins) {
-  std::vector<lint::Diagnostic> old_diags = {
-      {"sim/a.cpp", 10, "hot-alloc", "m"},
-      {"sim/a.cpp", 20, "hot-alloc", "m"}};
-  const auto baseline = lint::baseline_from(old_diags);
-  const auto result = lint::ratchet({}, baseline);
-  EXPECT_TRUE(result.clean());
-  ASSERT_EQ(result.stale.size(), 1u);
-  EXPECT_EQ(result.stale[0], (std::pair<std::string, std::string>{
-                                 "sim/a.cpp", "hot-alloc"}));
-}
-
-TEST(Ratchet, EmptyBaselineFailsEverything) {
-  std::vector<lint::Diagnostic> diags = {{"sim/a.cpp", 1, "hot-alloc", "m"}};
-  const auto result = lint::ratchet(diags, lint::Baseline{});
-  EXPECT_EQ(result.fresh.size(), 1u);
-  EXPECT_TRUE(result.pinned.empty());
-}
-
-// One end-to-end composition: structural findings feed the ratchet the
-// same way the lumos_lint driver wires them.
-TEST(Ratchet, StructuralFindingsRoundTripThroughBaseline) {
-  const auto spec = lint::parse_layers("util:\nsim: util\n");
-  const auto files =
-      tree({{"util/rng.hpp", "#include \"sim/engine.hpp\"\n"},
-            {"sim/engine.hpp", "#pragma once\n"}});
-  const auto diags = lint::check_structure(files, spec);
-  ASSERT_EQ(diags.size(), 1u);
-
-  const auto baseline = lint::baseline_from(diags);
-  EXPECT_TRUE(lint::ratchet(diags, baseline).clean());
-  const auto parsed = lint::baseline_from_json(lint::to_json(baseline));
-  EXPECT_TRUE(lint::ratchet(diags, parsed).clean());
 }
 
 }  // namespace

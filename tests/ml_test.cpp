@@ -34,42 +34,7 @@ Dataset linear_dataset(std::size_t n, double noise, std::uint64_t seed) {
   return d;
 }
 
-// --------------------------------------------------------------- Matrix --
-
-TEST(Matrix, MultiplyIdentity) {
-  Matrix a(2, 2);
-  a(0, 0) = 1;
-  a(0, 1) = 2;
-  a(1, 0) = 3;
-  a(1, 1) = 4;
-  const auto r = a.multiply(Matrix::identity(2));
-  EXPECT_DOUBLE_EQ(r(0, 1), 2.0);
-  EXPECT_DOUBLE_EQ(r(1, 0), 3.0);
-}
-
-TEST(Matrix, Transpose) {
-  Matrix a(2, 3);
-  a(0, 2) = 7.0;
-  const auto t = a.transpose();
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_DOUBLE_EQ(t(2, 0), 7.0);
-}
-
-TEST(Matrix, MatrixVector) {
-  Matrix a(2, 2);
-  a(0, 0) = 1;
-  a(0, 1) = 2;
-  a(1, 0) = 3;
-  a(1, 1) = 4;
-  const auto v = a.multiply(std::vector<double>{1.0, 1.0});
-  EXPECT_DOUBLE_EQ(v[0], 3.0);
-  EXPECT_DOUBLE_EQ(v[1], 7.0);
-}
-
-TEST(Matrix, ShapeMismatchThrows) {
-  Matrix a(2, 3), b(2, 3);
-  EXPECT_THROW(a.multiply(b), InvalidArgument);
-}
+// ------------------------------------------------------------- Cholesky --
 
 TEST(CholeskySolve, SolvesSpdSystem) {
   // A = [[4,2],[2,3]], b = [10, 9] -> x = [1.5, 2].
@@ -92,17 +57,7 @@ TEST(CholeskySolve, RejectsIndefinite) {
   EXPECT_THROW(cholesky_solve(a, {1.0, 1.0}), InvalidArgument);
 }
 
-// -------------------------------------------------------------- Dataset --
-
-TEST(Dataset, ChronologicalSplitKeepsOrder) {
-  auto d = linear_dataset(10, 0.0, 1);
-  const auto split = chronological_split(d, 0.7);
-  EXPECT_EQ(split.train.size(), 7u);
-  EXPECT_EQ(split.test.size(), 3u);
-  EXPECT_DOUBLE_EQ(split.test.x(0, 0), d.x(7, 0));
-  EXPECT_DOUBLE_EQ(split.test.y[2], d.y[9]);
-  EXPECT_THROW(chronological_split(d, 1.5), InvalidArgument);
-}
+// --------------------------------------------------------- Standardizer --
 
 TEST(Standardizer, ZeroMeanUnitVariance) {
   auto d = linear_dataset(500, 0.0, 2);

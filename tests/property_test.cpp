@@ -12,7 +12,6 @@
 #include "sim/simulator.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/ecdf.hpp"
-#include "stats/histogram.hpp"
 #include "synth/generator.hpp"
 #include "trace/swf.hpp"
 #include "util/rng.hpp"
@@ -51,27 +50,6 @@ TEST_P(EcdfProperty, CdfIsMonotone) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EcdfProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
-
-// -------------------------------------------- histogram mass invariance ---
-
-class HistogramProperty : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(HistogramProperty, TotalMassPreserved) {
-  util::Rng rng(GetParam());
-  auto h = stats::Histogram::logarithmic(1.0, 1e6, GetParam());
-  const int n = 1000;
-  for (int i = 0; i < n; ++i) h.add(rng.lognormal(5.0, 3.0));
-  EXPECT_DOUBLE_EQ(h.total(), n);
-  double sum = 0.0;
-  for (std::size_t b = 0; b < h.bins(); ++b) sum += h.count(b);
-  EXPECT_DOUBLE_EQ(sum, n);
-  double frac = 0.0;
-  for (std::size_t b = 0; b < h.bins(); ++b) frac += h.fraction(b);
-  EXPECT_NEAR(frac, 1.0, 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Bins, HistogramProperty,
-                         ::testing::Values(1, 2, 7, 24, 100));
 
 // ----------------------------------- profile vs brute-force reference -----
 

@@ -226,6 +226,7 @@ TEST(Simulator, NoBackfillBlocksBehindHead) {
   EXPECT_DOUBLE_EQ(r.outcomes[1].start_time, 100.0);
   EXPECT_GE(r.outcomes[2].start_time, 100.0);
   EXPECT_EQ(r.backfilled_jobs, 0u);
+  EXPECT_EQ(r.max_queue_length, 2u);  // job1 and job2 wait behind job0
 }
 
 TEST(Simulator, EasyBackfillsShortJob) {
@@ -362,20 +363,11 @@ TEST(Simulator, PlanningUsesWalltimeNotOracle) {
   EXPECT_DOUBLE_EQ(r.outcomes[1].start_time, 10.0);
 }
 
-TEST(Simulator, QueueSeriesRecorded) {
-  auto t = make_trace(10, {job(0, 100, 10), job(1, 10, 10), job(2, 10, 10)});
-  SimConfig config;
-  config.record_queue_series = true;
-  const auto r = simulate(t, config);
-  EXPECT_FALSE(r.queue_series.empty());
-  EXPECT_GE(r.max_queue_length, 2u);
-}
-
 TEST(Simulator, RequiresSortedTrace) {
   trace::Trace t(tiny_spec(10));
   t.add(job(10, 1, 1));
   t.add(job(0, 1, 1));
-  EXPECT_THROW(Simulator(t, SimConfig{}), InvalidArgument);
+  EXPECT_THROW((void)simulate(t, SimConfig{}), InvalidArgument);
 }
 
 TEST(Simulator, EmptyTrace) {

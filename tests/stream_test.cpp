@@ -322,15 +322,33 @@ TEST(OnlineCharacterizer, PublishEmitsDocumentedKeys) {
 
 // ---- ingest loop ---------------------------------------------------------
 
-TEST(Ingest, StreamToEofMatchesBatchReader) {
-  const auto trace = make_trace();
+/// Writes `content` to a per-process temp file and runs run_ingest over it.
+IngestResult ingest_text(const std::string& content, IngestOptions options) {
+  namespace fs = std::filesystem;
+  struct RemoveOnExit {
+    fs::path path;
+    ~RemoveOnExit() { fs::remove(path); }
+  } file{fs::temp_directory_path() /
+         ("lumos_ingest_" + std::to_string(::getpid()) + ".swf")};
+  {
+    std::ofstream out(file.path, std::ios::binary);
+    out << content;
+  }
+  options.input_path = file.path.string();
+  return run_ingest(options);
+}
+
+std::string swf_text(const trace::Trace& trace) {
   std::ostringstream swf;
   trace::write_swf(swf, trace);
+  return swf.str();
+}
 
+TEST(Ingest, StreamToEofMatchesBatchReader) {
+  const auto trace = make_trace();
   IngestOptions options;
   options.config = config_for(trace);
-  std::istringstream in(swf.str());
-  const auto result = ingest_stream(in, options);
+  const auto result = ingest_text(swf_text(trace), options);
   EXPECT_EQ(result.events, trace.size());
   EXPECT_EQ(result.bad_rows, 0u);
   EXPECT_EQ(result.characterizer.jobs(), trace.size());
@@ -339,30 +357,63 @@ TEST(Ingest, StreamToEofMatchesBatchReader) {
 TEST(Ingest, BadRowBudget) {
   IngestOptions options;
   options.bad_row_budget = 1;
-  {
-    std::istringstream in("garbage row\n");
-    const auto result = ingest_stream(in, options);
-    EXPECT_EQ(result.bad_rows, 1u);
-    EXPECT_EQ(result.events, 0u);
-  }
-  {
-    IngestOptions strict;
-    strict.bad_row_budget = 0;
-    std::istringstream in("garbage row\n");
-    EXPECT_THROW((void)ingest_stream(in, strict), ParseError);
-  }
+  const auto result = ingest_text("garbage row\n", options);
+  EXPECT_EQ(result.bad_rows, 1u);
+  EXPECT_EQ(result.events, 0u);
+
+  IngestOptions strict;
+  strict.bad_row_budget = 0;
+  EXPECT_THROW((void)ingest_text("garbage row\n", strict), ParseError);
 }
 
 TEST(Ingest, MaxEventsStopsEarly) {
   const auto trace = make_trace();
-  std::ostringstream swf;
-  trace::write_swf(swf, trace);
   IngestOptions options;
   options.config = config_for(trace);
   options.max_events = 10;
-  std::istringstream in(swf.str());
-  const auto result = ingest_stream(in, options);
+  const auto result = ingest_text(swf_text(trace), options);
   EXPECT_EQ(result.events, 10u);
+}
+
+TEST(Ingest, RowAcrossReadBoundaryIsIngestedOnce) {
+  // run_ingest reads 64 KiB chunks. Pad the header with a comment line so
+  // the first job row starts 10 bytes before the first chunk boundary:
+  // its head arrives in one chunk and its tail in the next.
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  const auto trace = make_trace(500, 17);
+  const std::string text = swf_text(trace);
+  std::size_t first_row = 0;
+  while (text[first_row] == ';') first_row = text.find('\n', first_row) + 1;
+  const std::size_t pad = kChunk - 10 - first_row - 2;
+  const std::string padded = text.substr(0, first_row) + ";" +
+                             std::string(pad, ' ') + "\n" +
+                             text.substr(first_row);
+  ASSERT_GT(padded.size(), kChunk);
+  ASSERT_LT(padded.rfind('\n', kChunk - 1), kChunk - 10);
+  ASSERT_GT(padded.find('\n', kChunk - 10), kChunk);
+
+  IngestOptions options;
+  options.config = config_for(trace);
+  const auto result = ingest_text(padded, options);
+  EXPECT_EQ(result.events, trace.size());
+  EXPECT_EQ(result.bad_rows, 0u);
+  EXPECT_EQ(to_json(result.characterizer.snapshot()).dump(),
+            to_json(ingest_all(trace, options.config).snapshot()).dump());
+}
+
+TEST(Ingest, FinalRowWithoutNewlineIsIngestedAtEof) {
+  const auto trace = make_trace(500, 19);
+  std::string text = swf_text(trace);
+  ASSERT_EQ(text.back(), '\n');
+  text.pop_back();
+
+  IngestOptions options;
+  options.config = config_for(trace);
+  const auto result = ingest_text(text, options);
+  EXPECT_EQ(result.events, trace.size());
+  EXPECT_EQ(result.bad_rows, 0u);
+  EXPECT_EQ(to_json(result.characterizer.snapshot()).dump(),
+            to_json(ingest_all(trace, options.config).snapshot()).dump());
 }
 
 TEST(Ingest, EndToEndReportRoundTrips) {
@@ -413,13 +464,11 @@ TEST(Ingest, EndToEndReportRoundTrips) {
 
 TEST(Ingest, ReportDocumentIsDeterministicInState) {
   const auto trace = make_trace(500, 9);
-  std::ostringstream swf;
-  trace::write_swf(swf, trace);
+  const std::string text = swf_text(trace);
   IngestOptions options;
   options.config = config_for(trace);
-  std::istringstream in1(swf.str()), in2(swf.str());
-  auto r1 = ingest_stream(in1, options);
-  auto r2 = ingest_stream(in2, options);
+  auto r1 = ingest_text(text, options);
+  auto r2 = ingest_text(text, options);
   // Gauges (rates, RSS) vary run to run; the metrics section must not.
   const auto d1 = make_report_document(r1, "test");
   const auto d2 = make_report_document(r2, "test");

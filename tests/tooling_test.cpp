@@ -1,5 +1,5 @@
-// Tests for the tooling layer: bootstrap CIs, trace transformations, the
-// CSV figure exporter, and the lumos-lint domain-invariant checker.
+// Tests for the tooling layer: the CSV figure exporter and the lumos-lint
+// domain-invariant checker.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -8,120 +8,9 @@
 #include "analysis/export.hpp"
 #include "core/study.hpp"
 #include "lint/lint.hpp"
-#include "stats/bootstrap.hpp"
-#include "stats/descriptive.hpp"
-#include "trace/transform.hpp"
-#include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace lumos {
 namespace {
-
-// ------------------------------------------------------------ bootstrap --
-
-TEST(Bootstrap, CiCoversTrueMedian) {
-  util::Rng rng(9);
-  std::vector<double> xs(400);
-  for (auto& x : xs) x = rng.normal(50.0, 5.0);
-  const auto ci = stats::bootstrap_median_ci(xs, 400, 0.95, 7);
-  EXPECT_LE(ci.lo, ci.point);
-  EXPECT_GE(ci.hi, ci.point);
-  EXPECT_LT(ci.lo, 50.0 + 2.0);
-  EXPECT_GT(ci.hi, 50.0 - 2.0);
-  EXPECT_LT(ci.hi - ci.lo, 4.0);  // a 400-sample median CI is tight
-}
-
-TEST(Bootstrap, MeanCiWiderForHeavierTails) {
-  util::Rng rng(10);
-  std::vector<double> normal(300), heavy(300);
-  for (auto& x : normal) x = rng.normal(10.0, 1.0);
-  for (auto& x : heavy) x = rng.lognormal(1.0, 1.5);
-  const auto ci_n = stats::bootstrap_mean_ci(normal, 300);
-  const auto ci_h = stats::bootstrap_mean_ci(heavy, 300);
-  EXPECT_GT(ci_h.hi - ci_h.lo, ci_n.hi - ci_n.lo);
-}
-
-TEST(Bootstrap, DeterministicForSeed) {
-  const std::vector<double> xs{1, 2, 3, 4, 5, 6, 7, 8, 9};
-  const auto a = stats::bootstrap_median_ci(xs, 100, 0.9, 55);
-  const auto b = stats::bootstrap_median_ci(xs, 100, 0.9, 55);
-  EXPECT_DOUBLE_EQ(a.lo, b.lo);
-  EXPECT_DOUBLE_EQ(a.hi, b.hi);
-}
-
-TEST(Bootstrap, RejectsBadInput) {
-  EXPECT_THROW((void)stats::bootstrap_median_ci({}, 100), InvalidArgument);
-  EXPECT_THROW((void)stats::bootstrap_median_ci(std::vector<double>{1.0}, 2),
-               InvalidArgument);
-}
-
-// ----------------------------------------------------------- transforms --
-
-trace::Trace two_user_trace() {
-  trace::Trace t(trace::theta_spec());
-  for (int i = 0; i < 6; ++i) {
-    trace::Job j;
-    j.submit_time = i * 10.0;
-    j.run_time = 100.0;
-    j.cores = 64;
-    j.user = 100 + (i % 2) * 50;  // users 100 and 150
-    t.add(j);
-  }
-  t.sort_by_submit();
-  return t;
-}
-
-TEST(Transform, MergeDisjointUsers) {
-  const auto a = two_user_trace();
-  const auto b = two_user_trace();
-  const auto merged = trace::merge(a, b);
-  EXPECT_EQ(merged.size(), 12u);
-  EXPECT_EQ(merged.user_count(), 4u);  // users offset apart
-  EXPECT_TRUE(merged.is_sorted_by_submit());
-  const auto shared = trace::merge(a, b, /*share_users=*/true);
-  EXPECT_EQ(shared.user_count(), 2u);
-}
-
-TEST(Transform, MergeRejectsDifferentSystems) {
-  trace::Trace a(trace::theta_spec());
-  trace::Trace b(trace::mira_spec());
-  EXPECT_THROW(trace::merge(a, b), InvalidArgument);
-}
-
-TEST(Transform, AnonymizeDensifiesAndPreservesStructure) {
-  const auto t = two_user_trace();
-  const auto anon = trace::anonymize_users(t);
-  EXPECT_EQ(anon.size(), t.size());
-  EXPECT_EQ(anon.user_count(), 2u);
-  for (const auto& j : anon.jobs()) EXPECT_LT(j.user, 2u);
-  // Same-user jobs stay same-user.
-  EXPECT_EQ(anon[0].user, anon[2].user);
-  EXPECT_NE(anon[0].user, anon[1].user);
-  // Geometry untouched.
-  EXPECT_DOUBLE_EQ(anon[3].run_time, t[3].run_time);
-}
-
-TEST(Transform, ScaleSizesClampsToCapacity) {
-  const auto t = two_user_trace();
-  const auto bigger = trace::scale_sizes(t, 1e9);
-  for (const auto& j : bigger.jobs()) {
-    EXPECT_EQ(j.cores, t.spec().primary_capacity());
-  }
-  const auto smaller = trace::scale_sizes(t, 1e-9);
-  for (const auto& j : smaller.jobs()) EXPECT_EQ(j.cores, 1u);
-  EXPECT_THROW(trace::scale_sizes(t, 0.0), InvalidArgument);
-}
-
-TEST(Transform, DilateArrivalsScalesGaps) {
-  const auto t = two_user_trace();
-  const auto slow = trace::dilate_arrivals(t, 3.0);
-  const auto gaps_before = t.interarrival_times();
-  const auto gaps_after = slow.interarrival_times();
-  ASSERT_EQ(gaps_before.size(), gaps_after.size());
-  for (std::size_t i = 0; i < gaps_before.size(); ++i) {
-    EXPECT_DOUBLE_EQ(gaps_after[i], 3.0 * gaps_before[i]);
-  }
-}
 
 // --------------------------------------------------------------- export --
 

@@ -198,10 +198,8 @@ TEST(StringUtil, Format) {
   EXPECT_EQ(format("%.2f", 1.005), "1.00");
 }
 
-TEST(StringUtil, ToLowerAndStartsWith) {
+TEST(StringUtil, ToLower) {
   EXPECT_EQ(to_lower("MiRa"), "mira");
-  EXPECT_TRUE(starts_with("theta-gpu", "theta"));
-  EXPECT_FALSE(starts_with("a", "ab"));
 }
 
 // ----------------------------------------------------------------- csv ---

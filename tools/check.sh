@@ -13,8 +13,8 @@
 #             lint_layers include-graph/layer DAG, lint_hotpath
 #             LUMOS_HOT_PATH discipline, lint_signals LUMOS_SIGNAL_HANDLER
 #             async-signal-safety) with --output-on-failure so a
-#             break prints file:line diagnostics, plus a direct --ratchet
-#             run that prints per-rule finding counts
+#             break prints file:line diagnostics, plus a direct run of
+#             every pass that prints per-rule finding counts
 #             (clang-tidy additionally gates compiles when configured with
 #              -DLUMOS_LINT=ON and a clang-tidy binary is on PATH)
 #   docs      the docs_check ctest: every tools/lint/layers.txt module
@@ -93,15 +93,13 @@ if [ "$QUICK" -eq 0 ]; then
   preset_stage tsan tsan
   preset_stage failpoints failpoints
 fi
-# Structural lint: the three registered ctest cases fail with file:line
-# diagnostics; the direct run prints per-rule counts and exercises the
-# committed baseline exactly as CI does.
+# Structural lint: the four registered ctest cases fail with file:line
+# diagnostics; the direct run of all passes prints per-rule counts.
 run_stage "lint:ctest" ctest --test-dir build \
   -R '^(lumos_lint|lint_layers|lint_hotpath|lint_signals)$' \
   --output-on-failure
-run_stage "lint:ratchet" ./build/tools/lumos_lint --ratchet \
-  --layers tools/lint/layers.txt --baseline tools/lint/baseline.json \
-  src bench
+run_stage "lint:all" ./build/tools/lumos_lint \
+  --layers tools/lint/layers.txt src bench
 # Docs-rot gate: layers.txt modules ↔ ARCHITECTURE.md, FIGURES.md rows ↔
 # bench_runner --list (tools/docs_check.cpp).
 run_stage "docs:check" ctest --test-dir build \

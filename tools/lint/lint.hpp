@@ -47,8 +47,6 @@
 //   hotpath.hpp     LUMOS_HOT_PATH function-body discipline — no heap
 //                   allocation, node containers, locks, stream I/O,
 //                   throw, or std::regex inside marked hot functions.
-//   baseline.hpp    (file, rule)-count baseline with --ratchet semantics:
-//                   pinned findings pass, new ones fail.
 //
 // Any rule can be suppressed inline, on the offending line or the line
 // directly above it:

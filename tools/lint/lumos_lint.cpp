@@ -5,13 +5,6 @@
 //   --pass rules|layers|hotpath|signals
 //                                 run one pass (repeatable; default: all)
 //   --layers <file>               layer DAG spec (default tools/lint/layers.txt)
-//   --baseline <file>             baseline file (default tools/lint/baseline.json)
-//   --ratchet                     tolerate findings pinned in the baseline;
-//                                 only findings beyond a pin fail
-//   --write-baseline              persist the current findings as the new
-//                                 baseline (the ratchet tightens: counts
-//                                 can only shrink) and exit 0
-//   --json <path>                 machine-readable report ("-" = stdout)
 //
 // Passes: `rules` is the per-file engine (lint.hpp), `layers` the
 // include-graph analysis against the declared DAG (structure.hpp),
@@ -22,14 +15,11 @@
 // every root, so cross-root edges (bench/ including src/ headers) are
 // part of the graph.
 //
-// Exit status: 0 clean (under --ratchet: nothing beyond the baseline),
-// 1 findings, 2 usage/IO/config error. Diagnostics print as
-// `<base>/<file>:<line>: [rule] message` — absolute when the roots are
-// absolute (ctest), so editors can jump to them — followed by per-rule
-// counts and a one-line summary.
+// Exit status: 0 clean, 1 findings, 2 usage/IO/config error. Diagnostics
+// print as `<base>/<file>:<line>: [rule] message` — absolute when the
+// roots are absolute (ctest), so editors can jump to them — followed by
+// per-rule counts and a one-line summary.
 #include <algorithm>
-#include <chrono>
-#include <cstdint>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -39,12 +29,9 @@
 #include <string>
 #include <vector>
 
-#include "lint/baseline.hpp"
 #include "lint/hotpath.hpp"
 #include "lint/lint.hpp"
 #include "lint/structure.hpp"
-#include "obs/json.hpp"
-#include "obs/registry.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -56,10 +43,6 @@ struct Options {
   bool pass_hotpath = true;
   bool pass_signals = true;
   std::string layers_file = "tools/lint/layers.txt";
-  std::string baseline_file = "tools/lint/baseline.json";
-  bool ratchet = false;
-  bool write_baseline = false;
-  std::string json_path;  // empty = no report
 };
 
 void usage(std::ostream& out) {
@@ -68,14 +51,7 @@ void usage(std::ostream& out) {
          "                               run one pass (repeatable; default "
          "all)\n"
          "  --layers <file>              layer DAG (default "
-         "tools/lint/layers.txt)\n"
-         "  --baseline <file>            baseline (default "
-         "tools/lint/baseline.json)\n"
-         "  --ratchet                    only findings beyond the baseline "
-         "fail\n"
-         "  --write-baseline             pin the current findings and exit\n"
-         "  --json <path>                machine-readable report (\"-\" = "
-         "stdout)\n";
+         "tools/lint/layers.txt)\n";
 }
 
 std::string read_file(const std::string& path) {
@@ -128,14 +104,6 @@ int main(int argc, char** argv) {
       passes.push_back(value("--pass"));
     } else if (arg == "--layers") {
       opt.layers_file = value("--layers");
-    } else if (arg == "--baseline") {
-      opt.baseline_file = value("--baseline");
-    } else if (arg == "--ratchet") {
-      opt.ratchet = true;
-    } else if (arg == "--write-baseline") {
-      opt.write_baseline = true;
-    } else if (arg == "--json") {
-      opt.json_path = value("--json");
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "lumos_lint: unknown option " << arg << "\n";
       usage(std::cerr);
@@ -166,148 +134,74 @@ int main(int argc, char** argv) {
   }
 
   try {
-    lumos::obs::Registry registry;
     std::vector<lumos::lint::Diagnostic> findings;
     std::vector<RootBase> bases;
-    {
-      const auto start = std::chrono::steady_clock::now();
 
-      // Load every root once; all passes share the same file set.
-      std::vector<lumos::lint::SourceFile> files;
-      for (const std::string& root : opt.roots) {
-        const auto path = std::filesystem::path(root).lexically_normal();
-        std::string name = path.filename().string();
-        if (name.empty()) name = path.parent_path().filename().string();
-        const std::string prefix = name == "src" ? "" : name + "/";
-        const std::string base =
-            prefix.empty() ? path.string() : path.parent_path().string();
-        bases.push_back({prefix, base});
-        auto tree = lumos::lint::load_tree(path, prefix);
-        files.insert(files.end(), std::make_move_iterator(tree.begin()),
-                     std::make_move_iterator(tree.end()));
-      }
+    // Load every root once; all passes share the same file set.
+    std::vector<lumos::lint::SourceFile> files;
+    for (const std::string& root : opt.roots) {
+      const auto path = std::filesystem::path(root).lexically_normal();
+      std::string name = path.filename().string();
+      if (name.empty()) name = path.parent_path().filename().string();
+      const std::string prefix = name == "src" ? "" : name + "/";
+      const std::string base =
+          prefix.empty() ? path.string() : path.parent_path().string();
+      bases.push_back({prefix, base});
+      auto tree = lumos::lint::load_tree(path, prefix);
+      files.insert(files.end(), std::make_move_iterator(tree.begin()),
+                   std::make_move_iterator(tree.end()));
+    }
 
-      if (opt.pass_rules) {
-        for (const auto& file : files) {
-          auto diags = lumos::lint::lint_source(file.rel_path, file.content);
-          findings.insert(findings.end(),
-                          std::make_move_iterator(diags.begin()),
-                          std::make_move_iterator(diags.end()));
-        }
-      }
-      if (opt.pass_layers) {
-        const auto spec =
-            lumos::lint::parse_layers(read_file(opt.layers_file));
-        auto diags = lumos::lint::check_structure(files, spec);
+    if (opt.pass_rules) {
+      for (const auto& file : files) {
+        auto diags = lumos::lint::lint_source(file.rel_path, file.content);
         findings.insert(findings.end(), std::make_move_iterator(diags.begin()),
                         std::make_move_iterator(diags.end()));
       }
-      if (opt.pass_hotpath) {
-        auto diags = lumos::lint::check_hot_paths(files);
-        findings.insert(findings.end(), std::make_move_iterator(diags.begin()),
-                        std::make_move_iterator(diags.end()));
-      }
-      if (opt.pass_signals) {
-        auto diags = lumos::lint::check_signal_handlers(files);
-        findings.insert(findings.end(), std::make_move_iterator(diags.begin()),
-                        std::make_move_iterator(diags.end()));
-      }
-
-      std::stable_sort(findings.begin(), findings.end(),
-                       [](const lumos::lint::Diagnostic& a,
-                          const lumos::lint::Diagnostic& b) {
-                         if (a.file != b.file) return a.file < b.file;
-                         return a.line < b.line;
-                       });
-
-      registry.counter("lint.files").add(files.size());
-      registry.counter("lint.findings").add(findings.size());
-      registry.gauge("lint.duration_ms")
-          .set(std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - start)
-                   .count());
+    }
+    if (opt.pass_layers) {
+      const auto spec = lumos::lint::parse_layers(read_file(opt.layers_file));
+      auto diags = lumos::lint::check_structure(files, spec);
+      findings.insert(findings.end(), std::make_move_iterator(diags.begin()),
+                      std::make_move_iterator(diags.end()));
+    }
+    if (opt.pass_hotpath) {
+      auto diags = lumos::lint::check_hot_paths(files);
+      findings.insert(findings.end(), std::make_move_iterator(diags.begin()),
+                      std::make_move_iterator(diags.end()));
+    }
+    if (opt.pass_signals) {
+      auto diags = lumos::lint::check_signal_handlers(files);
+      findings.insert(findings.end(), std::make_move_iterator(diags.begin()),
+                      std::make_move_iterator(diags.end()));
     }
 
-    if (opt.write_baseline) {
-      const auto baseline = lumos::lint::baseline_from(findings);
-      std::ofstream out(opt.baseline_file, std::ios::binary);
-      if (!out) {
-        throw lumos::InvalidArgument("lumos_lint: cannot write " +
-                                     opt.baseline_file);
-      }
-      out << lumos::lint::to_json(baseline) << "\n";
-      std::cout << "lumos_lint: pinned " << findings.size() << " finding"
-                << (findings.size() == 1 ? "" : "s") << " into "
-                << opt.baseline_file << "\n";
-      return 0;
-    }
+    std::stable_sort(findings.begin(), findings.end(),
+                     [](const lumos::lint::Diagnostic& a,
+                        const lumos::lint::Diagnostic& b) {
+                       if (a.file != b.file) return a.file < b.file;
+                       return a.line < b.line;
+                     });
 
-    // Under --ratchet, split findings against the baseline; only fresh
-    // ones fail. A missing baseline file ratchets against empty.
-    std::vector<lumos::lint::Diagnostic> failing = findings;
-    std::size_t pinned = 0;
-    std::size_t stale = 0;
-    if (opt.ratchet) {
-      lumos::lint::Baseline baseline;
-      if (std::filesystem::exists(opt.baseline_file)) {
-        baseline =
-            lumos::lint::baseline_from_json(read_file(opt.baseline_file));
-      }
-      auto result = lumos::lint::ratchet(findings, baseline);
-      failing = std::move(result.fresh);
-      pinned = result.pinned.size();
-      stale = result.stale.size();
-    }
-
-    for (const auto& d : failing) {
+    for (const auto& d : findings) {
       lumos::lint::Diagnostic shown = d;
       shown.file = display_path(bases, d.file);
       std::cout << lumos::lint::format(shown) << "\n";
     }
 
-    // Per-rule counts over everything that failed.
     std::map<std::string, std::size_t> by_rule;
-    for (const auto& d : failing) ++by_rule[d.rule];
+    for (const auto& d : findings) ++by_rule[d.rule];
     for (const auto& [rule, count] : by_rule) {
       std::cout << "  " << rule << ": " << count << "\n";
     }
 
-    if (!opt.json_path.empty()) {
-      lumos::obs::Json doc = lumos::obs::Json::object();
-      doc["schema_version"] = lumos::obs::Json(std::int64_t{1});
-      lumos::obs::Json arr = lumos::obs::Json::array();
-      for (const auto& d : failing) {
-        lumos::obs::Json entry = lumos::obs::Json::object();
-        entry["file"] = lumos::obs::Json(d.file);
-        entry["line"] = lumos::obs::Json(std::int64_t{d.line});
-        entry["rule"] = lumos::obs::Json(d.rule);
-        entry["message"] = lumos::obs::Json(d.message);
-        arr.push_back(std::move(entry));
-      }
-      doc["findings"] = std::move(arr);
-      doc["ratchet"] = lumos::obs::Json(opt.ratchet);
-      doc["pinned"] = lumos::obs::Json(static_cast<std::int64_t>(pinned));
-      doc["metrics"] = lumos::obs::to_json(registry.snapshot());
-      lumos::obs::write_json(doc, opt.json_path);
-    }
-
-    if (failing.empty()) {
+    if (findings.empty()) {
       std::cout << "lumos_lint: clean (" << opt.roots.size() << " tree"
-                << (opt.roots.size() == 1 ? "" : "s") << " checked";
-      if (opt.ratchet && pinned > 0) {
-        std::cout << ", " << pinned << " baselined";
-      }
-      if (opt.ratchet && stale > 0) {
-        std::cout << ", " << stale
-                  << " stale pin(s) — run --write-baseline to tighten";
-      }
-      std::cout << ")\n";
+                << (opt.roots.size() == 1 ? "" : "s") << " checked)\n";
       return 0;
     }
-    std::cout << "lumos_lint: " << failing.size() << " violation"
-              << (failing.size() == 1 ? "" : "s");
-    if (opt.ratchet && pinned > 0) std::cout << " (" << pinned << " baselined)";
-    std::cout << "\n";
+    std::cout << "lumos_lint: " << findings.size() << " violation"
+              << (findings.size() == 1 ? "" : "s") << "\n";
     return 1;
   } catch (const std::exception& e) {
     std::cerr << "lumos_lint: " << e.what() << "\n";
