@@ -11,7 +11,7 @@
 //      shard order, checking the exact parts (counts, diurnal profile,
 //      inter-arrival moments, histogram) are identical to serial ingest
 //      and the merged sketch stays within epsilon — the merge
-//      associativity contract behind Registry::merge-style composition.
+//      associativity contract of sharded ingest.
 // Deterministic metrics carry the observed error maxima and the identity
 // verdicts. The serve workload of perfbench/ measures ingest throughput.
 #include <algorithm>

@@ -88,8 +88,6 @@ const std::vector<HarnessInfo>& all_harnesses() {
        {"goodput_share.", "wasted_core_hours."}},
       {"ext_dag_hedging", "Extension", run_ext_dag_hedging,
        {"p99_slowdown.", "hedges."}},
-      {"ext_sweep_scaling", "Extension", run_ext_sweep_scaling,
-       {"wait_s.", "sweep."}},
       {"ext_stream_ingest", "Extension", run_ext_stream_ingest,
        {"rank_err.", "stream."}},
       {"ext_serve_chaos", "Extension", run_ext_serve_chaos, {"chaos."}},

@@ -33,7 +33,6 @@ obs::Report run_ext_fault_aware(const Args& args, std::ostream& out);
 obs::Report run_ext_lublin_baseline(const Args& args, std::ostream& out);
 obs::Report run_ext_node_failures(const Args& args, std::ostream& out);
 obs::Report run_ext_dag_hedging(const Args& args, std::ostream& out);
-obs::Report run_ext_sweep_scaling(const Args& args, std::ostream& out);
 obs::Report run_ext_stream_ingest(const Args& args, std::ostream& out);
 obs::Report run_ext_serve_chaos(const Args& args, std::ostream& out);
 obs::Report run_micro_sim(const Args& args, std::ostream& out);

@@ -30,7 +30,6 @@
 #include "sim/metrics.hpp"
 #include "sim/node_cluster.hpp"
 #include "sim/simulator.hpp"
-#include "sim/sweep.hpp"
 #include "synth/fit.hpp"
 #include "synth/lublin.hpp"
 #include "synth/generator.hpp"

@@ -46,16 +46,6 @@ void Registry::clear() {
   gauges_.clear();
 }
 
-void Registry::merge(const Snapshot& snap) {
-  util::ScopedLock lock(mutex_);
-  for (const auto& s : snap.counters) {
-    find_or_create(counters_, s.name).add(s.value);
-  }
-  for (const auto& s : snap.gauges) {
-    find_or_create(gauges_, s.name).set(s.value);
-  }
-}
-
 Registry& Registry::global() {
   static Registry registry;
   return registry;

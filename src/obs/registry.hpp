@@ -12,8 +12,8 @@
 //
 // Thread-safety contract: instrument handles returned by the registry are
 // valid until clear() and individually thread-safe (all
-// mutation is lock-free atomics). Registry lookup/creation, snapshot(),
-// clear() and merge() serialise on an internal mutex (annotated for Clang's
+// mutation is lock-free atomics). Registry lookup/creation, snapshot()
+// and clear() serialise on an internal mutex (annotated for Clang's
 // -Wthread-safety via util/annotations.hpp). snapshot() while writers are
 // active is safe but yields a momentary view; the bench runner snapshots
 // only between harnesses.
@@ -103,13 +103,6 @@ class Registry {
   /// another harness's instruments (a stale `sim.events: 0` in a harness
   /// that never ran the simulator reads as a broken counter pipeline).
   void clear() LUMOS_EXCLUDES(mutex_);
-
-  /// Folds a snapshot into this registry: counters add, gauges are
-  /// overwritten (last merge wins). Instruments missing here are created.
-  /// Merging shard snapshots in a fixed order (shard index, not
-  /// completion order) makes the combined registry deterministic; see
-  /// sim::sweep_shards.
-  void merge(const Snapshot& snap) LUMOS_EXCLUDES(mutex_);
 
   /// The process-wide registry the library layers write into.
   [[nodiscard]] static Registry& global();

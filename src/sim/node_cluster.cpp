@@ -8,6 +8,12 @@
 
 namespace lumos::sim {
 
+namespace {
+
+constexpr std::uint32_t kGpusPerNode = 8;  ///< a typical DL node
+
+}  // namespace
+
 std::string_view to_string(PackingPolicy p) noexcept {
   switch (p) {
     case PackingPolicy::FirstFit: return "first-fit";
@@ -20,32 +26,11 @@ std::string_view to_string(PackingPolicy p) noexcept {
 NodeCluster::NodeCluster(std::uint32_t nodes, std::uint32_t gpus_per_node,
                          PackingPolicy policy)
     : free_(nodes, gpus_per_node),
-      offline_(nodes, 0),
       gpus_per_node_(gpus_per_node),
       free_total_(static_cast<std::uint64_t>(nodes) * gpus_per_node),
       policy_(policy) {
   LUMOS_REQUIRE(nodes > 0 && gpus_per_node > 0,
                 "NodeCluster needs positive dimensions");
-}
-
-void NodeCluster::set_node_offline(std::uint32_t node) {
-  LUMOS_REQUIRE(node < free_.size(), "offline: node out of range");
-  LUMOS_REQUIRE(offline_[node] == 0, "offline: node is already offline");
-  LUMOS_REQUIRE(free_[node] == gpus_per_node_,
-                "offline: node must be idle (drain or interrupt first)");
-  offline_[node] = 1;
-  ++offline_count_;
-  free_[node] = 0;  // unplaceable until restored
-  free_total_ -= gpus_per_node_;
-}
-
-void NodeCluster::restore_node(std::uint32_t node) {
-  LUMOS_REQUIRE(node < free_.size(), "restore: node out of range");
-  LUMOS_REQUIRE(offline_[node] != 0, "restore: node is not offline");
-  offline_[node] = 0;
-  --offline_count_;
-  free_[node] = gpus_per_node_;
-  free_total_ += gpus_per_node_;
 }
 
 std::int64_t NodeCluster::pick_node(std::uint32_t gpus) const noexcept {
@@ -136,11 +121,6 @@ void NodeCluster::release(const std::vector<Slice>& slices) {
   }
 }
 
-std::uint64_t NodeCluster::stranded_for(std::uint64_t gpus) const noexcept {
-  if (!can_place(gpus)) return free_total_;
-  return free_total_ >= gpus ? free_total_ - gpus : 0;
-}
-
 PackingMetrics simulate_packing(const trace::Trace& trace,
                                 const PackingConfig& config) {
   LUMOS_REQUIRE(trace.is_sorted_by_submit(),
@@ -151,8 +131,8 @@ PackingMetrics simulate_packing(const trace::Trace& trace,
   const std::uint64_t total =
       std::max<std::uint64_t>(1, trace.spec().primary_capacity());
   const std::uint32_t node_count = static_cast<std::uint32_t>(
-      (total + config.gpus_per_node - 1) / config.gpus_per_node);
-  NodeCluster cluster(node_count, config.gpus_per_node, config.policy);
+      (total + kGpusPerNode - 1) / kGpusPerNode);
+  NodeCluster cluster(node_count, kGpusPerNode, config.policy);
 
   // POD queue entry — slices live out-of-line in `slices_of`, keyed by
   // job index, so the entry stays cheap to move through the heap and

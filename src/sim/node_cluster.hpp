@@ -31,33 +31,12 @@ class NodeCluster {
   NodeCluster(std::uint32_t nodes, std::uint32_t gpus_per_node,
               PackingPolicy policy = PackingPolicy::BestFit);
 
-  [[nodiscard]] std::uint32_t nodes() const noexcept {
-    return static_cast<std::uint32_t>(free_.size());
-  }
-  [[nodiscard]] std::uint32_t gpus_per_node() const noexcept {
-    return gpus_per_node_;
-  }
   [[nodiscard]] std::uint64_t total_gpus() const noexcept {
     return static_cast<std::uint64_t>(free_.size()) * gpus_per_node_;
   }
   [[nodiscard]] std::uint64_t free_gpus() const noexcept {
     return free_total_;
   }
-  [[nodiscard]] std::uint32_t offline_nodes() const noexcept {
-    return offline_count_;
-  }
-  /// Degraded capacity: GPUs on offline nodes, neither free nor placed.
-  [[nodiscard]] std::uint64_t offline_gpus() const noexcept {
-    return static_cast<std::uint64_t>(offline_count_) * gpus_per_node_;
-  }
-
-  /// Takes an idle node offline (failed/drained): its GPUs leave the free
-  /// pool and the node is skipped by placement until restored. Requires
-  /// the node to be fully idle — callers interrupt or drain work first.
-  void set_node_offline(std::uint32_t node);
-
-  /// Brings an offline node back; its GPUs rejoin the free pool.
-  void restore_node(std::uint32_t node);
 
   /// Whether a job of `gpus` can be placed under gang-placement rules:
   /// <= gpus_per_node -> one node; otherwise ceil(g / gpn) nodes, all but
@@ -75,27 +54,19 @@ class NodeCluster {
   /// Returns a previous placement's GPUs.
   void release(const std::vector<Slice>& slices);
 
-  /// Stranded capacity right now for a hypothetical job of `gpus`: free
-  /// GPUs that cannot serve it because of placement constraints
-  /// (free_gpus() - gpus when it fits, free_gpus() when it does not).
-  [[nodiscard]] std::uint64_t stranded_for(std::uint64_t gpus) const noexcept;
-
  private:
-  std::vector<std::uint32_t> free_;  ///< free GPUs per node (0 if offline)
-  std::vector<std::uint8_t> offline_;
+  std::vector<std::uint32_t> free_;  ///< free GPUs per node
   std::uint32_t gpus_per_node_;
   std::uint64_t free_total_;
-  std::uint32_t offline_count_ = 0;
   PackingPolicy policy_;
 
   [[nodiscard]] std::int64_t pick_node(std::uint32_t gpus) const noexcept;
 };
 
 /// FCFS packing simulation (no backfilling): replays a GPU trace onto a
-/// NodeCluster and reports the fragmentation cost relative to the
-/// aggregate-pool model.
+/// NodeCluster of 8-GPU nodes and reports the fragmentation cost relative
+/// to the aggregate-pool model.
 struct PackingConfig {
-  std::uint32_t gpus_per_node = 8;  ///< typical DL node
   PackingPolicy policy = PackingPolicy::BestFit;
   /// When true, jobs run on an idealised pooled cluster instead (placement
   /// constraints off) — the comparison baseline.

@@ -937,13 +937,13 @@ LUMOS_HOT_PATH SimResult SimEngine::run() {
 
 }  // namespace
 
-SimResult simulate(const trace::Trace& trace, const SimConfig& config,
-                   obs::Registry& registry) {
+SimResult simulate(const trace::Trace& trace, const SimConfig& config) {
   LUMOS_REQUIRE(trace.is_sorted_by_submit(),
                 "simulate requires a submit-sorted trace");
   SimResult result = SimEngine(trace, config).run();
   // Publish the event-loop counters; deterministic for deterministic input.
   const SimCounters& c = result.counters;
+  obs::Registry& registry = obs::Registry::global();
   registry.counter("sim.events").add(c.events);
   registry.counter("sim.event_batches").add(c.event_batches);
   registry.counter("sim.scheduling_passes").add(c.scheduling_passes);
@@ -976,10 +976,6 @@ SimResult simulate(const trace::Trace& trace, const SimConfig& config,
         .set(c.hedge_wasted_core_hours);
   }
   return result;
-}
-
-SimResult simulate(const trace::Trace& trace, const SimConfig& config) {
-  return simulate(trace, config, obs::Registry::global());
 }
 
 }  // namespace lumos::sim

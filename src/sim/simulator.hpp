@@ -27,10 +27,6 @@
 #include "sim/policy.hpp"
 #include "trace/trace.hpp"
 
-namespace lumos::obs {
-class Registry;
-}  // namespace lumos::obs
-
 namespace lumos::sim {
 
 /// Straggler-mitigation by hedged duplicate launches (DESIGN.md §4h).
@@ -170,7 +166,7 @@ struct SimResult {
   std::size_t abandoned_jobs = 0;
   std::size_t hedged_jobs = 0;          ///< distinct jobs that got a duplicate
   SimCounters counters;                 ///< event-loop instrumentation
-  /// Field-for-field (bit-exact for doubles) — the shard-identity tests
+  /// Field-for-field (bit-exact for doubles) — the determinism tests
   /// compare entire results with this.
   [[nodiscard]] bool operator==(const SimResult&) const = default;
 };
@@ -181,13 +177,5 @@ struct SimResult {
 /// sim::compute_metrics). Deterministic for a given (trace, config).
 [[nodiscard]] SimResult simulate(const trace::Trace& trace,
                                  const SimConfig& config);
-
-/// As above, but publishing into `registry` — sweep shards thread a
-/// private registry through here so counters come from the registry
-/// actually wired into the run, never a global one mutated by whoever
-/// ran last.
-[[nodiscard]] SimResult simulate(const trace::Trace& trace,
-                                 const SimConfig& config,
-                                 obs::Registry& registry);
 
 }  // namespace lumos::sim

@@ -53,6 +53,19 @@ std::uint64_t require_u64(const Json& obj, const char* key,
   return static_cast<std::uint64_t>(v.as_int());
 }
 
+/// A byte offset or a count. These ride the int64 JSON integer too, but
+/// no input reaches 2^63, so a negative value is corruption, not a
+/// two's-complement uint64.
+std::uint64_t require_count(const Json& obj, const char* key,
+                            const char* what) {
+  const std::uint64_t v = require_u64(obj, key, what);
+  if (static_cast<std::int64_t>(v) < 0) {
+    throw InvalidArgument(std::string("checkpoint: ") + what +
+                          " must not be negative");
+  }
+  return v;
+}
+
 SourceCursor cursor_from_json(const Json& json) {
   SourceCursor cursor;
   const Json& input = require(json, "input", "cursor.input");
@@ -60,12 +73,13 @@ SourceCursor cursor_from_json(const Json& json) {
     throw InvalidArgument("checkpoint: cursor.input must be a string");
   }
   cursor.input = input.as_string();
-  cursor.byte_offset = require_u64(json, "byte_offset", "cursor.byte_offset");
-  cursor.line = require_u64(json, "line", "cursor.line");
-  cursor.events = require_u64(json, "events", "cursor.events");
-  cursor.bad_rows = require_u64(json, "bad_rows", "cursor.bad_rows");
+  cursor.byte_offset =
+      require_count(json, "byte_offset", "cursor.byte_offset");
+  cursor.line = require_count(json, "line", "cursor.line");
+  cursor.events = require_count(json, "events", "cursor.events");
+  cursor.bad_rows = require_count(json, "bad_rows", "cursor.bad_rows");
   cursor.unknown_runtime =
-      require_u64(json, "unknown_runtime", "cursor.unknown_runtime");
+      require_count(json, "unknown_runtime", "cursor.unknown_runtime");
   cursor.fingerprint = require_u64(json, "fingerprint", "cursor.fingerprint");
   return cursor;
 }

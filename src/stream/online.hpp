@@ -34,9 +34,9 @@
 // (for contiguous time shards the boundary inter-arrival gap is
 // reconstructed from the shards' first/last submit times, so moments
 // match serial ingest bit-for-bit up to summation order); quantile
-// sketches merge within their epsilon bound. This composes with
-// `obs::Registry::merge` for per-shard metric registries — see
-// `sim::sweep_shards` and the tsan-labelled concurrent-ingest test.
+// sketches merge within their epsilon bound. bench/ext_stream_ingest
+// checks the merge against serial ingest, and the tsan-labelled
+// concurrent-ingest test ingests shards from several threads.
 #pragma once
 
 #include <array>

@@ -1,6 +1,6 @@
 // Tests for the lumos::fault subsystem: the deterministic node
-// failure/recovery process, degraded-capacity accounting in Cluster /
-// NodeCluster, fault injection in the simulator event loop (retry
+// failure/recovery process, degraded-capacity accounting in Cluster,
+// fault injection in the simulator event loop (retry
 // policies, checkpointing, goodput/waste bookkeeping), and the
 // calibration bridge synth::fault_config_for.
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "fault/fault.hpp"
 #include "sim/cluster.hpp"
 #include "sim/metrics.hpp"
-#include "sim/node_cluster.hpp"
 #include "sim/simulator.hpp"
 #include "synth/calibration.hpp"
 #include "synth/failure_model.hpp"
@@ -197,21 +196,6 @@ TEST(Cluster, ReleaseClampsToOnlineCapacity) {
   c.release(60);
   EXPECT_EQ(c.free(), 60u);  // capacity minus the 40 offline
   EXPECT_EQ(c.allocated(), 0u);
-}
-
-TEST(NodeCluster, OfflineAccounting) {
-  sim::NodeCluster c(4, 8);
-  EXPECT_EQ(c.free_gpus(), 32u);
-  c.set_node_offline(1);
-  EXPECT_EQ(c.offline_nodes(), 1u);
-  EXPECT_EQ(c.offline_gpus(), 8u);
-  EXPECT_EQ(c.free_gpus(), 24u);
-  EXPECT_THROW(c.set_node_offline(1), InvalidArgument);  // already offline
-  EXPECT_THROW(c.set_node_offline(9), InvalidArgument);  // out of range
-  c.restore_node(1);
-  EXPECT_EQ(c.offline_nodes(), 0u);
-  EXPECT_EQ(c.free_gpus(), 32u);
-  EXPECT_THROW(c.restore_node(1), InvalidArgument);  // not offline
 }
 
 // ------------------------------------------------ simulator integration --

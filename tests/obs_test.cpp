@@ -95,41 +95,6 @@ TEST(Registry, ClearRemovesInstrumentsEntirely) {
   EXPECT_TRUE(snap.gauges.empty());
 }
 
-TEST(Registry, MergeAddsCountersOverwritesGauges) {
-  Registry a;
-  a.counter("events").add(10);
-  a.gauge("speed").set(1.0);
-
-  Registry b;
-  b.counter("events").add(32);
-  b.counter("only_b").add(1);
-  b.gauge("speed").set(9.0);
-
-  Registry merged;
-  merged.merge(a.snapshot());
-  merged.merge(b.snapshot());
-  const Snapshot snap = merged.snapshot();
-
-  ASSERT_EQ(snap.counters.size(), 2u);  // name-sorted: events, only_b
-  EXPECT_EQ(snap.counters[0].value, 42u);
-  EXPECT_EQ(snap.counters[1].value, 1u);
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_EQ(snap.gauges[0].value, 9.0);  // last merge wins
-}
-
-TEST(Registry, MergeIntoEmptyReproducesSnapshot) {
-  Registry source;
-  source.counter("events").add(7);
-  source.gauge("speed").set(3.25);
-  const Snapshot original = source.snapshot();
-
-  Registry copy;
-  copy.merge(original);
-  const Snapshot replayed = copy.snapshot();
-  EXPECT_EQ(replayed.counters, original.counters);
-  EXPECT_EQ(replayed.gauges, original.gauges);
-}
-
 // Concurrent increments from the pool: totals must be exact (the tsan
 // preset additionally proves the registry lookups race-free).
 TEST(Registry, ConcurrentIncrementsAreExact) {

@@ -518,8 +518,9 @@ TEST(Determinism, RepeatedRunsBitIdentical) {
 }
 
 TEST(Determinism, IdenticalAcrossThreadPoolSizes) {
-  // The bench drivers fan simulations out over a ThreadPool; the outcomes
-  // must not depend on the pool size or scheduling.
+  // The bench drivers fan simulations out over a ThreadPool; whole
+  // results, counters included, must not depend on the pool size or
+  // scheduling.
   synth::GeneratorOptions options;
   options.duration_days = 2.0;
   const auto trace = synth::generate_system("Theta", options);
@@ -537,17 +538,12 @@ TEST(Determinism, IdenticalAcrossThreadPoolSizes) {
     return results;
   };
   const auto serial = run_with_pool(1);
-  const auto wide = run_with_pool(4);
-  ASSERT_EQ(serial.size(), wide.size());
-  for (std::size_t k = 0; k < serial.size(); ++k) {
-    ASSERT_EQ(serial[k].outcomes.size(), wide[k].outcomes.size());
-    for (std::size_t i = 0; i < serial[k].outcomes.size(); ++i) {
-      ASSERT_EQ(serial[k].outcomes[i].start_time,
-                wide[k].outcomes[i].start_time);
-      ASSERT_EQ(serial[k].outcomes[i].first_reservation,
-                wide[k].outcomes[i].first_reservation);
-      ASSERT_EQ(serial[k].outcomes[i].backfilled,
-                wide[k].outcomes[i].backfilled);
+  for (const std::size_t threads : {4u, 8u}) {
+    const auto wide = run_with_pool(threads);
+    ASSERT_EQ(serial.size(), wide.size());
+    for (std::size_t k = 0; k < serial.size(); ++k) {
+      EXPECT_TRUE(serial[k] == wide[k])
+          << to_string(kinds[k]) << " at " << threads << " threads";
     }
   }
 }

@@ -801,6 +801,128 @@ TEST_F(CheckpointTest, WrongSchemaOrKindIsRejected) {
   EXPECT_THROW((void)checkpoint_from_json(doc), InvalidArgument);
 }
 
+TEST_F(CheckpointTest, NegativeCursorCountIsRejected) {
+  // A byte offset or count of -1 is corruption, not 2^64 - 1. The
+  // fingerprint is a hash, so its negative form is a valid uint64.
+  auto doc = to_json(make_checkpoint(50));
+  doc["cursor"]["fingerprint"] = obs::Json(std::int64_t{-5});
+  EXPECT_EQ(checkpoint_from_json(doc).cursor.fingerprint,
+            static_cast<std::uint64_t>(-5));
+  doc["cursor"]["byte_offset"] = obs::Json(std::int64_t{-1});
+  EXPECT_THROW((void)checkpoint_from_json(doc), InvalidArgument);
+}
+
+// Start offsets of the JSON numbers in `doc`.
+std::vector<std::size_t> number_starts(const std::string& doc) {
+  std::vector<std::size_t> starts;
+  for (std::size_t i = 0; i < doc.size(); ++i) {
+    const bool starts_number =
+        (doc[i] == '-' || (doc[i] >= '0' && doc[i] <= '9')) &&
+        (i == 0 || std::string_view(" \n:,[").find(doc[i - 1]) !=
+                       std::string_view::npos);
+    if (starts_number) starts.push_back(i);
+  }
+  return starts;
+}
+
+// One seeded mutation of a checkpoint document: a byte changed, a number
+// edited, negated or replaced, a span deleted or repeated, or the tail
+// cut off.
+std::string mutate_checkpoint(std::string doc, util::Rng& rng) {
+  static const char* const kNumbers[] = {
+      "-1", "0", "1e400", "-1e400", "1.5", "1e-400", "nan",
+      "9223372036854775807", "9223372036854775808", "18446744073709551616",
+      "4294967296", "99999999999999999999999", "1e18", "00"};
+  const int ops = 1 + static_cast<int>(rng.uniform_index(3));
+  for (int op = 0; op < ops && !doc.empty(); ++op) {
+    const std::size_t at = rng.uniform_index(doc.size());
+    const std::uint64_t kind = rng.uniform_index(7);
+    switch (kind) {
+      case 0:  // one bit of one byte flipped
+        doc[at] = static_cast<char>(doc[at] ^ (1 << rng.uniform_index(8)));
+        break;
+      case 1:  // one byte replaced by a structural character
+        doc[at] = "{}[]:,\"-.e0 "[rng.uniform_index(12)];
+        break;
+      case 2:    // one digit of one number changed
+      case 3: {  // one number negated or replaced
+        const auto starts = number_starts(doc);
+        if (starts.empty()) break;
+        const std::size_t n = starts[rng.uniform_index(starts.size())];
+        std::size_t end = n + 1;
+        while (end < doc.size() &&
+               std::string_view("0123456789.eE+-").find(doc[end]) !=
+                   std::string_view::npos) {
+          ++end;
+        }
+        const std::size_t d = n + rng.uniform_index(end - n);
+        if (kind == 2 && doc[d] != '-') {
+          doc[d] = static_cast<char>('0' + rng.uniform_index(10));
+        } else if (rng.bernoulli(0.5)) {
+          doc.replace(n, end - n,
+                      kNumbers[rng.uniform_index(std::size(kNumbers))]);
+        } else if (doc[n] == '-') {
+          doc.erase(n, 1);
+        } else {
+          doc.insert(n, 1, '-');
+        }
+        break;
+      }
+      case 4:  // a span deleted
+        doc.erase(at, 1 + rng.uniform_index(64));
+        break;
+      case 5: {  // a span repeated in place
+        const std::string span = doc.substr(at, 1 + rng.uniform_index(64));
+        doc.insert(at, span);
+        break;
+      }
+      default:  // truncated
+        doc.resize(at);
+        break;
+    }
+  }
+  return doc;
+}
+
+TEST_F(CheckpointTest, SeededMutantsThrowTypedErrorsOrRoundTrip) {
+  // `lumos_serve --checkpoint` reads this document from disk. Every
+  // mutant either fails with a lumos::Error on the way to a restored
+  // characterizer, or decodes to a checkpoint whose re-encoding decodes
+  // back to the same document. A foreign exception fails the test; a
+  // crash or a hang fails the ctest.
+  save_checkpoint(make_checkpoint(12), path("ck.json"));
+  std::string saved;
+  {
+    std::ifstream in(path("ck.json"), std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    saved = std::move(buffer).str();
+  }
+  util::Rng rng(20241021);
+  std::size_t rejected = 0;
+  std::size_t decoded = 0;
+  constexpr std::size_t kCases = 4000;
+  for (std::size_t c = 0; c < kCases; ++c) {
+    const std::string mutant = mutate_checkpoint(saved, rng);
+    try {
+      const Checkpoint cp = checkpoint_from_json(obs::Json::parse(mutant));
+      (void)OnlineCharacterizer::restore(cp.characterizer);
+      const std::string doc = to_json(cp).dump();
+      ASSERT_EQ(to_json(checkpoint_from_json(obs::Json::parse(doc))).dump(),
+                doc)
+          << "case " << c;
+      ++decoded;
+    } catch (const Error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      FAIL() << "case " << c << ": foreign exception: " << e.what();
+    }
+  }
+  // Both outcome classes are reached, so each path is exercised.
+  EXPECT_GT(rejected, kCases / 2);
+  EXPECT_GT(decoded, kCases / 50);
+}
+
 TEST_F(CheckpointTest, FingerprintWindowAndZeroOffset) {
   const std::string file = path("input.swf");
   {

@@ -45,8 +45,9 @@ const std::vector<MarkerRule>& hot_rules() {
                  {"lock", "mutex"},
                  std::regex(R"(\bstd\s*::\s*(?:recursive_|shared_|timed_)*mutex\b|\b(?:lock_guard|unique_lock|scoped_lock|shared_lock)\b|\.\s*lock\s*\()"),
                  "lock acquisition in a hot path: the engine is "
-                 "single-threaded by design — parallelism shards across "
-                 "engines (sim/sweep), never inside the event loop"});
+                 "single-threaded by design — parallel studies run whole "
+                 "simulations on a thread pool, never inside the event "
+                 "loop"});
     r.push_back({"hot-stream",
                  {"cout", "cerr", "clog", "stream"},
                  std::regex(R"(\bstd\s*::\s*(?:cout|cerr|clog)\b|\bstd\s*::\s*[io]?(?:string|f)stream\b|\bstd\s*::\s*basic_[io]?stream\b)"),

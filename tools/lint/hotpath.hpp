@@ -13,8 +13,8 @@
 //                       node-based containers allocate per element; hot
 //                       state lives in the SoA vectors.
 //   hot-mutex           mutex types and lock/lock_guard/unique_lock — the
-//                       engine is single-threaded by design; sharded
-//                       sweeps parallelise across engines, never inside.
+//                       engine is single-threaded by design; studies run
+//                       whole engines in parallel, never inside one.
 //   hot-stream          iostream objects (cout/stringstream/fstream...) —
 //                       formatting belongs in obs/trace, after the run.
 //   hot-throw           `throw` — exceptional exits cost nothing until
